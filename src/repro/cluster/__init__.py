@@ -30,7 +30,6 @@ Quick start::
 """
 
 from repro.cluster.engine import (
-    FailureInjection,
     ScenarioEngine,
     ScenarioError,
     run_scenario,
@@ -86,7 +85,6 @@ __all__ = [
     "SCHEDULER_POLICIES",
     "ArrivalSpec",
     "AvailabilityProfile",
-    "FailureInjection",
     "FaultEventSpec",
     "FaultScheduleSpec",
     "JobResult",

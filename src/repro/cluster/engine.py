@@ -29,11 +29,14 @@ at shard-local scale, so a ``fattree`` scenario offers *exactly* the
 traffic its ``topoopt`` twin does -- the comparison isolates the
 interconnect, which is what makes the Figure 16 series meaningful.
 
-Link failures (section 7) can be injected mid-scenario with
-:class:`FailureInjection`: the affected shard's routing is patched
-through :class:`repro.sim.failures.FailureManager` (transient MP
-detour, then an optional permanent port swap), and subsequent
-iterations ride the repaired paths.
+Faults enter a scenario only through ``spec.faults``
+(:mod:`repro.cluster.faults`): link cuts, host deaths, and correlated
+storms fire from one event heap.  A link cut (section 7) patches the
+affected shard's routing through
+:class:`repro.sim.failures.FailureManager` -- transient MP detour, then
+an optional permanent port swap -- and subsequent iterations ride the
+repaired paths; ``spec.recovery`` picks what happens when a detour is
+too slow or impossible.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.api.registry import (
     FabricBuildContext,
@@ -81,40 +84,6 @@ _TIME_EPS = 1e-9
 
 class ScenarioError(RuntimeError):
     """A scenario could not run to completion."""
-
-
-@dataclass(frozen=True)
-class FailureInjection:
-    """One link failure to inject while the scenario runs.
-
-    ``job_index`` names the arrival-order index of the target job;
-    ``link`` is a local shard link ``(src, dst)`` (``None`` picks the
-    job's first AllReduce ring edge); ``repair_s`` schedules the
-    permanent port-swap repair.  Failures only apply to running jobs on
-    ``topoopt`` shards -- anything else is logged as skipped.
-    """
-
-    time_s: float
-    job_index: int
-    link: Optional[Tuple[int, int]] = None
-    repair_s: Optional[float] = None
-
-    def __post_init__(self):
-        # Validate at construction, not mid-run: a bad injection list
-        # should fail before the scenario spends any simulation time.
-        if self.time_s < 0:
-            raise ScenarioError(
-                f"failure time_s must be >= 0, got {self.time_s}"
-            )
-        if self.job_index < 0:
-            raise ScenarioError(
-                f"failure job_index must be >= 0, got {self.job_index}"
-            )
-        if self.repair_s is not None and self.repair_s < self.time_s:
-            raise ScenarioError(
-                f"failure repair at {self.repair_s}s precedes "
-                f"the failure at {self.time_s}s"
-            )
 
 
 @dataclass
@@ -228,16 +197,15 @@ class _Running:
     detached: bool = False
     #: Exact analytic departure time of a detached job.
     analytic_finish_s: Optional[float] = None
+    #: When a link cut or repair last changed this segment's routing
+    #: (flows in flight then finish on the old paths).
+    rerouted_s: float = -math.inf
 
 
 class ScenarioEngine:
     """Drives one scenario; most callers want :func:`run_scenario`."""
 
-    def __init__(
-        self,
-        spec: ScenarioSpec,
-        failures: Sequence[FailureInjection] = (),
-    ):
+    def __init__(self, spec: ScenarioSpec):
         self.spec = spec
         self.shardable = spec.fabric.kind == "topoopt"
         self._allocator = ShardAllocator(
@@ -279,14 +247,6 @@ class ScenarioEngine:
                     solver=spec.solver,
                 )
             )
-        self._failure_events: List[Tuple[float, str, FailureInjection]] = []
-        for injection in failures:
-            self._failure_events.append((injection.time_s, "fail", injection))
-            if injection.repair_s is not None:
-                self._failure_events.append(
-                    (injection.repair_s, "repair", injection)
-                )
-        self._failure_events.sort(key=lambda event: event[0])
         self.failure_log: List[Dict[str, Any]] = []
         #: The declarative fault plane (``spec.faults``), resolved into
         #: a runtime event heap; ``None`` for fault-free scenarios so
@@ -569,7 +529,6 @@ class ScenarioEngine:
         finished: List[JobResult] = []
         utilization: List[Tuple[float, int]] = [(0.0, 0)]
         fragmentation: List[Tuple[float, float]] = []
-        failure_events = deque(self._failure_events)
         plane = self.fault_plane
         recovery = spec.recovery
         #: Fault event -> the concrete link it ended up cutting (the
@@ -634,37 +593,23 @@ class ScenarioEngine:
             self.scheduler_log.append(record)
             TRACER.count(f"scheduler.{event}")
 
-        def job_horizon(index: int) -> float:
-            """Earliest pending routing change relevant to job ``index``.
-
-            Legacy injections name their target job; the fault plane's
-            events resolve their victims only at fire time (a storm
-            picks whoever overlaps its region), so *any* pending plane
-            event caps every job's analytic jump -- no fast-forward may
-            step over a fault, and no job may detach while one is
-            still due.
-            """
-            horizon = min(
-                (t for t, _, inj in failure_events
-                 if inj.job_index == index),
-                default=math.inf,
-            )
-            if plane is not None:
-                horizon = min(horizon, plane.next_time())
-            return horizon
-
         def fast_forward(entry: _Running, now: float) -> None:
             """Account steady-state iterations analytically.
 
             On an isolated shard every iteration repeats the last
             simulated one exactly (same fabric, same flows), so ``K``
-            of them are one RLE entry.  The jump is capped at the
-            job's next routing change (failure or repair): the job
-            either departs analytically or lands on the last boundary
-            before the horizon and resumes simulating.
+            of them are one RLE entry -- provided that iteration began
+            after the job's last routing change, since one in flight
+            across a cut or repair ran partly on the old paths.  The
+            jump is capped at the next fault-plane event: faults pick
+            their victims only at fire time (a storm hits whoever
+            overlaps its region), so *any* pending event caps every
+            job, and no job may detach while one is still due.  The
+            job either departs analytically or lands on the last
+            boundary before the horizon and resumes simulating.
             """
             d = entry.state.stats.iteration_times[-1]
-            if d <= 0:
+            if d <= 0 or now - d <= entry.rerouted_s:
                 return
             plan = entry.plan
             if entry.deadline_s is not None:
@@ -675,7 +620,7 @@ class ScenarioEngine:
                 remaining = plan.iterations - total_done(entry)
             if remaining < 1:
                 return
-            horizon = job_horizon(plan.index)
+            horizon = plane.next_time() if plane is not None else math.inf
             finish = now + remaining * d
             if finish <= horizon:
                 flush_log(entry).append((d, remaining))
@@ -1036,7 +981,13 @@ class ScenarioEngine:
 
         # -- fault handling --------------------------------------------
         def ensure_manager(entry: _Running) -> None:
-            """Give the job a private FailureManager (copy-on-write)."""
+            """Give the job a private FailureManager (copy-on-write).
+
+            The prepared fabric is shared by every job built from the
+            same template (pipeline cache), and the FailureManager
+            patches routing tables in place, so the failing job gets
+            its own topology result and fabric.
+            """
             from repro.sim.failures import FailureManager
 
             if entry.failure_manager is not None:
@@ -1247,6 +1198,7 @@ class ScenarioEngine:
                 return False
             plane.fail_started[("link", index, tuple(link))] = now
             entry.substrate.invalidate_flows(entry.state)
+            entry.rerouted_s = now
             log_event(now, "fault", index, [], kind="link",
                       link=[int(v) for v in link])
             self.failure_log.append(
@@ -1298,6 +1250,7 @@ class ScenarioEngine:
                 return
             fm.repair_permanently(*link)
             entry.substrate.invalidate_flows(entry.state)
+            entry.rerouted_s = now
             record = {
                 **base, "kind": "port_swap",
                 "link": [int(v) for v in link],
@@ -1457,8 +1410,6 @@ class ScenarioEngine:
             candidates: List[float] = []
             if pending:
                 candidates.append(pending[0].arrival_s)
-            if failure_events:
-                candidates.append(failure_events[0][0])
             if plane is not None and math.isfinite(plane.next_time()):
                 candidates.append(plane.next_time())
             if analytic:
@@ -1478,13 +1429,7 @@ class ScenarioEngine:
                 event for _, event in substrate_events if event is not None
             )
             if not candidates:
-                if queue and (
-                    plane is not None
-                    or any(
-                        life.fault_suspensions
-                        for life in lives.values()
-                    )
-                ):
+                if queue and plane is not None:
                     # The fault plane made the queue unplaceable (hosts
                     # dead for good, or a suspended job that can never
                     # be re-admitted).  Degrade gracefully: report the
@@ -1554,20 +1499,7 @@ class ScenarioEngine:
                     depart(running.pop(index), now)
                     makespan = max(makespan, now)
                     control_due = True
-                # 2. failures due at now
-                while (
-                    failure_events
-                    and failure_events[0][0] <= now + _TIME_EPS
-                ):
-                    _, action, injection = failure_events.popleft()
-                    with TRACER.span("engine.fault", cat="engine",
-                                     kind=action):
-                        self._apply_failure(
-                            action, injection, running, now,
-                            on_disconnect=crash_suspend,
-                        )
-                    control_due = True
-                # 2b. fault-plane events due at now
+                # 2. fault-plane events due at now
                 if plane is not None and plane.next_time() <= now + _TIME_EPS:
                     for tag, payload in plane.pop_due(now, _TIME_EPS):
                         with TRACER.span("engine.fault", cat="engine",
@@ -1586,27 +1518,19 @@ class ScenarioEngine:
                     with TRACER.span("engine.control", cat="engine"):
                         control(now)
 
-        # Injections scheduled past the last departure never fired;
-        # record them so the log accounts for every requested failure.
-        while failure_events:
-            when, _, injection = failure_events.popleft()
-            self.failure_log.append(
-                {
-                    "time_s": when,
-                    "job_index": injection.job_index,
-                    "kind": "skipped",
-                    "reason": "scenario ended before injection time",
-                }
-            )
+        # Faults scheduled past the last departure never fired; record
+        # them so the log accounts for every requested fault.
         if plane is not None:
-            for when, tag, _payload in plane.drain():
-                self.failure_log.append(
-                    {
-                        "time_s": when,
-                        "kind": "skipped",
-                        "reason": f"scenario ended before {tag} time",
-                    }
-                )
+            for when, tag, payload in plane.drain():
+                record = {
+                    "time_s": when,
+                    "kind": "skipped",
+                    "reason": f"scenario ended before {tag} time",
+                }
+                job_index = getattr(payload, "job_index", None)
+                if job_index is not None:
+                    record["job_index"] = job_index
+                self.failure_log.append(record)
 
         return ScenarioResult(
             spec=spec,
@@ -1618,117 +1542,6 @@ class ScenarioEngine:
             scheduler_log=tuple(self.scheduler_log),
             unfinished_jobs=tuple(unfinished),
         )
-
-    # -- failures ------------------------------------------------------
-    def _apply_failure(
-        self,
-        action: str,
-        injection: FailureInjection,
-        running: Dict[int, _Running],
-        now: float,
-        on_disconnect=None,
-    ) -> None:
-        from repro.sim.failures import FailureManager, LinkFailureError
-
-        entry = running.get(injection.job_index)
-        base = {"time_s": now, "job_index": injection.job_index}
-        if entry is None or not self.shardable:
-            reason = (
-                "job not running" if entry is None
-                else "shared fabrics have no per-job optical shard"
-            )
-            self.failure_log.append(
-                {**base, "kind": "skipped", "reason": reason}
-            )
-            return
-        if action == "fail" and entry.failure_manager is None:
-            # Copy-on-write: the prepared fabric is shared by every job
-            # built from the same template (pipeline cache), and the
-            # FailureManager patches routing tables in place.  Give the
-            # failing job its own topology result + fabric so the
-            # damage stays on its shard.
-            import copy as _copy
-
-            from repro.network.topoopt import TopoOptFabric
-
-            isolated = _copy.deepcopy(entry.prepared.fabric.result)
-            fabric = TopoOptFabric(
-                isolated, entry.prepared.fabric.link_bandwidth_bps
-            )
-            entry.state.spec.fabric = fabric.relabel(list(entry.servers))
-            entry.failure_manager = FailureManager(isolated)
-        manager = entry.failure_manager
-        result = (
-            manager.result if manager is not None
-            else entry.prepared.fabric.result
-        )
-        link = injection.link or self._default_failure_link(result)
-        if action == "fail":
-            try:
-                repair = manager.fail_link(*link)
-            except LinkFailureError as error:
-                # A disconnecting cut is a real fault, not a no-op: the
-                # job cannot make progress on a split shard.  Suspend
-                # and requeue it (losing the uncheckpointed segment)
-                # instead of letting the error escape the event loop.
-                if on_disconnect is not None:
-                    info = on_disconnect(entry, now, "shard disconnected")
-                    self.failure_log.append(
-                        {
-                            **base,
-                            "kind": "link_cut",
-                            "link": list(link),
-                            "reason": str(error),
-                            **info,
-                        }
-                    )
-                else:
-                    self.failure_log.append(
-                        {
-                            **base,
-                            "kind": "skipped",
-                            "link": list(link),
-                            "reason": str(error),
-                        }
-                    )
-                return
-            except (ValueError, RuntimeError) as error:
-                # Already-failed edges and links absent from the shard
-                # topology: log, don't abort -- the scenario result
-                # must stay reachable (and deterministic) for any
-                # injection list.
-                self.failure_log.append(
-                    {
-                        **base,
-                        "kind": "skipped",
-                        "link": list(link),
-                        "reason": str(error),
-                    }
-                )
-                return
-            self.failure_log.append(
-                {
-                    **base,
-                    "kind": repair.kind,
-                    "link": list(link),
-                    "extra_hops": repair.extra_hops,
-                }
-            )
-            # The kernel backend registers a job's flows once and
-            # replays them; the patched routing only takes effect if
-            # the cached columns are dropped.
-            entry.substrate.invalidate_flows(entry.state)
-        else:  # repair
-            if manager is None or tuple(link) not in manager.failed:
-                self.failure_log.append(
-                    {**base, "kind": "skipped", "reason": "link not failed"}
-                )
-                return
-            repair = manager.repair_permanently(*link)
-            self.failure_log.append(
-                {**base, "kind": repair.kind, "link": list(link)}
-            )
-            entry.substrate.invalidate_flows(entry.state)
 
     @staticmethod
     def _default_failure_link(result) -> Tuple[int, int]:
@@ -1742,7 +1555,6 @@ class ScenarioEngine:
 
 def run_scenario(
     spec: ScenarioSpec,
-    failures: Sequence[FailureInjection] = (),
     store=None,
     *,
     recorder: Optional[TraceRecorder] = None,
@@ -1753,10 +1565,9 @@ def run_scenario(
     (spec, seed); ``wall_time_s`` is measured and stays off-JSON.
 
     A :class:`repro.service.store.ResultStore` passed as ``store``
-    memoizes the run under the spec's content hash -- but only when
-    ``failures`` is empty: legacy :class:`FailureInjection` schedules
-    live outside the spec, so they are not part of its hash and caching
-    them would alias distinct runs.  (Spec-level ``faults`` hash fine.)
+    memoizes the run under the spec's content hash; faults live in the
+    spec (``spec.faults``), so fault-bearing runs are keyed apart from
+    their fault-free twins.
 
     Observation: passing a :class:`repro.obs.tracer.TraceRecorder` as
     ``recorder`` (or setting ``spec.observe`` -- which creates one when
@@ -1767,14 +1578,14 @@ def run_scenario(
     and without observation; a store hit returns the cached result as
     is (no trace, since nothing ran).
     """
-    if store is not None and not failures:
+    if store is not None:
         cached = store.get(spec)
         if cached is not None:
             return cached
     if recorder is None and spec.observe and not TRACER.enabled:
         recorder = TraceRecorder()
     started = time.perf_counter()
-    engine = ScenarioEngine(spec, failures)
+    engine = ScenarioEngine(spec)
     if recorder is not None:
         with TRACER.recording(recorder):
             with TRACER.span("engine.run_scenario", cat="engine",
@@ -1789,6 +1600,6 @@ def run_scenario(
         object.__setattr__(
             result, "obs", ObsReport.build(recorder).to_dict()
         )
-    if store is not None and not failures:
+    if store is not None:
         store.put(spec, result)
     return result

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.cluster.engine import run_scenario
 from repro.cluster.faults import RECOVERY_POLICIES
@@ -361,17 +361,14 @@ def chaos_scenario_spec(
     return spec.with_overrides(overrides)
 
 
-def verify_scenario(
-    spec: ScenarioSpec,
-    failures: Sequence = (),
-) -> ScenarioResult:
+def verify_scenario(spec: ScenarioSpec) -> ScenarioResult:
     """Run twice, assert byte-identical JSON + invariants, return result.
 
     Raises :class:`AssertionError` naming the first divergence or the
     full violation list, so property tests can call this directly.
     """
-    first = run_scenario(spec, failures)
-    second = run_scenario(spec, failures)
+    first = run_scenario(spec)
+    second = run_scenario(spec)
     a = json.dumps(first.to_dict(), sort_keys=True)
     b = json.dumps(second.to_dict(), sort_keys=True)
     assert a == b, (

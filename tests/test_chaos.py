@@ -10,8 +10,8 @@ The acceptance gates of the failure-storm issue, as tier-1 tests:
 * checkpoint-restart loses at most one checkpoint interval (plus the
   iteration in flight) per host failure;
 * a host death releases the victim's exact server block;
-* a legacy ``FailureInjection`` that disconnects a shard suspends the
-  job instead of raising, even with the fault plane disabled.
+* a link cut that disconnects a shard suspends the job instead of
+  raising, even under the default detour policy.
 """
 
 import math
@@ -21,7 +21,6 @@ import pytest
 from repro.api.spec import ClusterSpec, FabricSpec
 from repro.cluster import (
     ArrivalSpec,
-    FailureInjection,
     JobTemplateSpec,
     ScenarioSpec,
     run_scenario,
@@ -202,10 +201,10 @@ class TestHostDeathReleasesBlock:
         assert fault["time_s"] <= repair["time_s"]
 
 
-class TestLegacyDisconnectionSuspends:
+class TestDisconnectingCutSuspends:
     def two_server_spec(self):
         return ScenarioSpec(
-            name="legacy-disconnect",
+            name="disconnect",
             cluster=ClusterSpec(servers=4, degree=4,
                                 bandwidth_gbps=100.0),
             fabric=FabricSpec(kind="topoopt"),
@@ -220,14 +219,15 @@ class TestLegacyDisconnectionSuspends:
         spec = self.two_server_spec()
         period = run_scenario(spec).jobs[0].iteration_avg_s
         # A 2-server shard has no detour for its only ring edge, so
-        # this legacy injection disconnects the shard.  With the fault
-        # plane entirely disabled the engine must still suspend +
-        # requeue instead of raising.
+        # this cut disconnects the shard.  Even the detour policy must
+        # then suspend + requeue instead of raising.
         result = run_scenario(
-            spec,
-            failures=[
-                FailureInjection(time_s=2.5 * period, job_index=0)
-            ],
+            spec.with_overrides({
+                "faults.events": [
+                    {"kind": "link", "time_s": 2.5 * period,
+                     "job_index": 0},
+                ],
+            })
         )
         cut = next(
             e for e in result.failure_log if e["kind"] == "link_cut"

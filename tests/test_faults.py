@@ -12,7 +12,6 @@ import pytest
 
 from repro.api.spec import SpecError
 from repro.cluster import ScenarioSpec
-from repro.cluster.engine import FailureInjection, ScenarioError
 from repro.cluster.faults import (
     FaultEventSpec,
     FaultPlane,
@@ -45,6 +44,8 @@ class TestFaultEventSpec:
     def test_link_fault_needs_job_index(self):
         with pytest.raises(SpecError):
             FaultEventSpec(kind="link", time_s=1.0)
+        with pytest.raises(SpecError):
+            FaultEventSpec(kind="link", time_s=1.0, job_index=-1)
 
     def test_server_fault_needs_server(self):
         with pytest.raises(SpecError):
@@ -187,14 +188,6 @@ class TestScenarioSpecIntegration:
                     {"kind": "server", "time_s": 1.0, "server": 10_000}
                 ],
             })
-
-    def test_legacy_injection_validated_at_construction(self):
-        with pytest.raises(ScenarioError):
-            FailureInjection(time_s=-1.0, job_index=0)
-        with pytest.raises(ScenarioError):
-            FailureInjection(time_s=5.0, job_index=0, repair_s=2.0)
-        with pytest.raises(ScenarioError):
-            FailureInjection(time_s=5.0, job_index=-1)
 
 
 class TestFaultPlane:

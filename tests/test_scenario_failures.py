@@ -1,13 +1,13 @@
 """FailureManager composed with a running scenario (section 7).
 
-The satellite requirement: inject a transient and a permanent link
-failure mid-scenario and assert the repaired routing keeps jobs
-progressing.
+Link cuts enter through the spec's fault plane (``faults.events``):
+inject a transient and a permanent link failure mid-scenario and
+assert the repaired routing keeps jobs progressing.
 """
 
 import pytest
 
-from repro.cluster import FailureInjection, ScenarioSpec, run_scenario
+from repro.cluster import ScenarioSpec, run_scenario
 
 
 def two_job_spec(iterations=6):
@@ -17,6 +17,15 @@ def two_job_spec(iterations=6):
         "jobs.1.iterations": iterations,
     })
     return spec
+
+
+def link_fault(time_s, job_index=0, **extra):
+    return {"kind": "link", "time_s": time_s, "job_index": job_index,
+            **extra}
+
+
+def with_faults(spec, *events):
+    return spec.with_overrides({"faults.events": list(events)})
 
 
 class TestFailuresMidScenario:
@@ -29,12 +38,7 @@ class TestFailuresMidScenario:
         fail_t = 2.5 * period
         repair_t = 4.5 * period
         result = run_scenario(
-            spec,
-            failures=[
-                FailureInjection(
-                    time_s=fail_t, job_index=0, repair_s=repair_t
-                )
-            ],
+            with_faults(spec, link_fault(fail_t, repair_s=repair_t))
         )
         # Both jobs still complete their full quota: the repaired
         # routing keeps them progressing.
@@ -42,8 +46,9 @@ class TestFailuresMidScenario:
 
         kinds = [entry["kind"] for entry in result.failure_log]
         assert kinds == ["mp_detour", "port_swap"]
-        detour = result.failure_log[0]
+        detour, swap = result.failure_log
         assert detour["extra_hops"] >= 1
+        assert swap["downtime_s"] == pytest.approx(repair_t - fail_t)
 
         times = result.jobs[0].iteration_times
         healthy = times[0]
@@ -63,8 +68,7 @@ class TestFailuresMidScenario:
         base = run_scenario(spec)
         period = base.jobs[0].iteration_avg_s
         result = run_scenario(
-            spec,
-            failures=[FailureInjection(time_s=2.5 * period, job_index=0)],
+            with_faults(spec, link_fault(2.5 * period))
         )
         # Physical isolation: the other job's iteration times are
         # bit-identical with and without the neighbor's fiber cut.
@@ -75,13 +79,9 @@ class TestFailuresMidScenario:
     def test_explicit_link_and_determinism(self):
         spec = two_job_spec(iterations=4)
         period = self._baseline_period(spec)
-        injections = [
-            FailureInjection(
-                time_s=1.5 * period, job_index=0, link=(0, 1)
-            )
-        ]
-        first = run_scenario(spec, failures=injections).to_dict()
-        second = run_scenario(spec, failures=injections).to_dict()
+        faulty = with_faults(spec, link_fault(1.5 * period, link=[0, 1]))
+        first = run_scenario(faulty).to_dict()
+        second = run_scenario(faulty).to_dict()
         assert first == second
         assert first["failure_log"][0]["link"] == [0, 1]
 
@@ -100,8 +100,7 @@ class TestFailuresMidScenario:
         base = run_scenario(spec)
         period = base.jobs[0].iteration_avg_s
         result = run_scenario(
-            spec,
-            failures=[FailureInjection(time_s=1.5 * period, job_index=0)],
+            with_faults(spec, link_fault(1.5 * period))
         )
         assert result.failure_log[0]["kind"] == "mp_detour"
         # The unfailed twin's iterations are bit-identical to baseline.
@@ -113,24 +112,20 @@ class TestFailuresMidScenario:
 
     def test_late_injection_logged_as_skipped(self):
         spec = two_job_spec(iterations=2)
-        result = run_scenario(
-            spec,
-            failures=[FailureInjection(time_s=1e6, job_index=0)],
-        )
+        result = run_scenario(with_faults(spec, link_fault(1e6)))
         entry = result.failure_log[0]
         assert entry["kind"] == "skipped"
-        assert entry["reason"] == "scenario ended before injection time"
+        assert entry["reason"] == "scenario ended before link_fail time"
         assert entry["time_s"] == 1e6
+        assert entry["job_index"] == 0
 
     def test_repeated_failure_on_same_link_logged_not_raised(self):
         spec = two_job_spec()
         period = self._baseline_period(spec)
         result = run_scenario(
-            spec,
-            failures=[
-                FailureInjection(time_s=1.5 * period, job_index=0),
-                FailureInjection(time_s=2.5 * period, job_index=0),
-            ],
+            with_faults(
+                spec, link_fault(1.5 * period), link_fault(2.5 * period)
+            )
         )
         kinds = [entry["kind"] for entry in result.failure_log]
         assert kinds == ["mp_detour", "skipped"]
@@ -141,22 +136,14 @@ class TestFailuresMidScenario:
         spec = two_job_spec(iterations=2)
         period = self._baseline_period(spec)
         result = run_scenario(
-            spec,
-            failures=[
-                FailureInjection(
-                    time_s=0.5 * period, job_index=0, link=(0, 0)
-                )
-            ],
+            with_faults(spec, link_fault(0.5 * period, link=[0, 0]))
         )
         assert result.failure_log[0]["kind"] == "skipped"
         assert [job.iterations_completed for job in result.jobs] == [2, 2]
 
     def test_failure_on_idle_job_is_skipped(self):
         spec = two_job_spec(iterations=2)
-        result = run_scenario(
-            spec,
-            failures=[FailureInjection(time_s=0.0, job_index=99)],
-        )
+        result = run_scenario(with_faults(spec, link_fault(0.0, job_index=99)))
         assert result.failure_log[0]["kind"] == "skipped"
         assert [job.iterations_completed for job in result.jobs] == [2, 2]
 
@@ -164,9 +151,6 @@ class TestFailuresMidScenario:
         spec = two_job_spec(iterations=2).with_overrides(
             {"fabric.kind": "fattree"}
         )
-        result = run_scenario(
-            spec,
-            failures=[FailureInjection(time_s=0.01, job_index=0)],
-        )
+        result = run_scenario(with_faults(spec, link_fault(0.01)))
         assert result.failure_log[0]["kind"] == "skipped"
         assert "shard" in result.failure_log[0]["reason"]

@@ -7,10 +7,11 @@ statistics, and the LP assembly dispatch:
 
 * kernel vs reference solver: byte-identical ``ScenarioResult`` JSON
   (modulo the spec's own ``solver`` field) on staggered multi-job
-  scenarios with mid-scenario link failures, across seeds;
+  scenarios with mid-scenario ``faults.events`` link cuts, across seeds;
 * wall-clock trace durations produce run-length-encoded iteration logs
   that round-trip through JSON;
-* fast-forward on/off agree on iteration counts and makespan;
+* fast-forward on/off agree on iteration counts, JCTs and makespan,
+  also across link cuts and repairs;
 * warm caches change wall time only, never results.
 """
 
@@ -22,12 +23,13 @@ import pytest
 from repro.api.spec import ClusterSpec, FabricSpec
 from repro.cluster import (
     ArrivalSpec,
-    FailureInjection,
     JobTemplateSpec,
     ScenarioSpec,
     run_scenario,
 )
 from repro.cluster.results import _weighted_percentile
+
+from test_scenario_failures import link_fault, with_faults
 
 
 def normalized_json(result) -> str:
@@ -58,19 +60,17 @@ class TestKernelMatchesReference:
         period = run_scenario(
             staggered_spec(0, "kernel")
         ).jobs[0].iteration_avg_s
-        failures = [
-            FailureInjection(
-                time_s=1.5 * period, job_index=0, repair_s=3.5 * period
-            ),
+        faults = [
+            link_fault(1.5 * period, repair_s=3.5 * period),
             # Job 1 arrives at t=40; hit it mid-flight.
-            FailureInjection(time_s=40.0 + 1.5 * period, job_index=1),
+            link_fault(40.0 + 1.5 * period, job_index=1),
         ]
         for seed in (0, 1, 2):
             kernel = run_scenario(
-                staggered_spec(seed, "kernel"), failures=failures
+                with_faults(staggered_spec(seed, "kernel"), *faults)
             )
             reference = run_scenario(
-                staggered_spec(seed, "reference"), failures=failures
+                with_faults(staggered_spec(seed, "reference"), *faults)
             )
             assert normalized_json(kernel) == normalized_json(reference)
             # The failures really happened (not skipped) in both runs.
@@ -111,13 +111,9 @@ class TestKernelPortSwapRoundTrip:
         spec = staggered_spec(0, "kernel")
         period = run_scenario(spec).jobs[0].iteration_avg_s
         result = run_scenario(
-            spec,
-            failures=[
-                FailureInjection(
-                    time_s=1.5 * period, job_index=0,
-                    repair_s=3.5 * period,
-                )
-            ],
+            with_faults(
+                spec, link_fault(1.5 * period, repair_s=3.5 * period)
+            )
         )
         kinds = [entry["kind"] for entry in result.failure_log]
         assert kinds == ["mp_detour", "port_swap"]
@@ -132,17 +128,11 @@ class TestKernelPortSwapRoundTrip:
         spec = staggered_spec(0, "kernel")
         period = run_scenario(spec).jobs[0].iteration_avg_s
         result = run_scenario(
-            spec,
-            failures=[
-                FailureInjection(
-                    time_s=1.2 * period, job_index=0,
-                    repair_s=3.2 * period,
-                ),
-                FailureInjection(
-                    time_s=2.2 * period, job_index=0,
-                    repair_s=4.2 * period,
-                ),
-            ],
+            with_faults(
+                spec,
+                link_fault(1.2 * period, repair_s=3.2 * period),
+                link_fault(2.2 * period, repair_s=4.2 * period),
+            )
         )
         kinds = [entry["kind"] for entry in result.failure_log]
         assert kinds.count("mp_detour") + kinds.count("link_cut") >= 1
@@ -190,19 +180,38 @@ class TestWallclockDurations:
 
 class TestFastForward:
     def test_quota_mode_matches_step_by_step(self):
-        base = ScenarioSpec.preset("lifetime").with_overrides({
+        lifetime = ScenarioSpec.preset("lifetime").with_overrides({
             "arrivals.count": 6,
             "max_sim_time_s": 4e5,
         })
-        stepped = run_scenario(base)
-        jumped = run_scenario(base.with_overrides({"fast_forward": True}))
-        assert len(stepped.jobs) == len(jumped.jobs)
-        for a, b in zip(stepped.jobs, jumped.jobs):
-            assert a.iterations_completed == b.iterations_completed
-            assert b.completed_s == pytest.approx(a.completed_s, rel=1e-9)
-        assert jumped.makespan_s == pytest.approx(
-            stepped.makespan_s, rel=1e-9
-        )
+        # A link cut on job 0 mid-iteration, with and without a repair:
+        # the iteration in flight across each routing change runs
+        # partly on the old paths, so it must not be extrapolated.
+        shared = ScenarioSpec.preset("shared").with_overrides({
+            "arrivals.times": [0.0, 0.0],
+            "jobs.0.iterations": 6,
+            "jobs.1.iterations": 6,
+        })
+        period = run_scenario(shared).jobs[0].iteration_avg_s
+        inputs = [
+            lifetime,
+            with_faults(shared, link_fault(2.5 * period)),
+            with_faults(
+                shared, link_fault(2.5 * period, repair_s=3.5 * period)
+            ),
+        ]
+        for base in inputs:
+            stepped = run_scenario(base)
+            jumped = run_scenario(base.with_overrides({"fast_forward": True}))
+            assert len(stepped.jobs) == len(jumped.jobs)
+            for a, b in zip(stepped.jobs, jumped.jobs):
+                assert a.iterations_completed == b.iterations_completed
+                assert b.completed_s == pytest.approx(
+                    a.completed_s, rel=1e-9
+                )
+            assert jumped.makespan_s == pytest.approx(
+                stepped.makespan_s, rel=1e-9
+            )
 
     def test_requires_topoopt_fabric(self):
         from repro.api.spec import SpecError

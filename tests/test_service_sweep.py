@@ -135,18 +135,31 @@ class TestMemoizedScenario:
         assert stats["puts"] == 1  # the second run was served, not run
         assert stats["hits"] == 1
 
-    def test_legacy_failure_injections_bypass_the_store(self, tmp_path):
-        """FailureInjection schedules are not part of the spec hash, so
-        caching them would alias distinct runs -- they must bypass."""
-        from repro.cluster.engine import FailureInjection
-
+    def test_fault_bearing_spec_is_memoized_and_keyed_apart(
+        self, tmp_path
+    ):
+        """Faults live in the spec, so a fault-bearing scenario hashes
+        apart from its fault-free twin and is served from the store."""
         store = ResultStore(tmp_path)
-        run_scenario(scenario_spec(), store=store)
-        failure = FailureInjection(time_s=5.0, job_index=0)
-        run_scenario(scenario_spec(), failures=(failure,), store=store)
+        clean = scenario_spec()
+        faulty = clean.with_overrides({
+            "faults.events": [
+                {"kind": "link", "time_s": 1e-3, "job_index": 0},
+            ],
+        })
+        assert faulty.content_hash() != clean.content_hash()
+        run_scenario(clean, store=store)
+        first = run_scenario(faulty, store=store)
+        assert first.failure_log[0]["kind"] == "mp_detour"
+        assert store.stats()["puts"] == 2
+        second = run_scenario(faulty, store=store)
         stats = store.stats()
-        assert stats["puts"] == 1   # only the clean run was stored
-        assert stats["hits"] == 0   # ...and the injected run never read
+        assert stats["puts"] == 2   # the rerun was served, not run
+        assert stats["hits"] == 1
+        assert (
+            canonical_json(second.to_dict())
+            == canonical_json(first.to_dict())
+        )
 
     def test_scenario_sweep_uses_the_store(self, tmp_path):
         store = ResultStore(tmp_path)
