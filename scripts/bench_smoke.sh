@@ -10,7 +10,8 @@
 # from its full-rebuild oracle, the scenario engine loses (spec, seed)
 # determinism / reference-allocator equivalence, the scenario kernel
 # falls under its 1.5x speedup floor at n=64, the fleet scenario
-# fails to drain its trace, the scheduler policy sweep regresses
+# fails to drain its trace or takes more than 10 engine steps per
+# job, the scheduler policy sweep regresses
 # (every queue policy -- FCFS, EASY, conservative backfill -- must
 # drain a 100-job production trace deterministically under a 60 s
 # wall-time cap, and backfill must strictly beat FCFS mean queueing

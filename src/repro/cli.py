@@ -816,10 +816,11 @@ def bench_smoke(argv: Sequence[str] = ()) -> int:
     scenario engine loses (spec, seed) determinism / allocator
     equivalence, the scenario kernel falls under its 1.5x speedup
     floor at n=64, the capped fleet-scale scenario fails to drain its
-    trace, the scheduler policy sweep fails its gate (every queue
-    policy drains a 100-job trace deterministically under a 60 s
-    wall-time cap, with backfill strictly beating FCFS queueing delay
-    on the head-of-line-blocking trace), the failure-storm
+    trace or takes more than 10 engine steps per job, the scheduler
+    policy sweep fails its gate (every queue policy drains a 100-job
+    trace deterministically under a 60 s wall-time cap, with backfill
+    strictly beating FCFS queueing delay on the head-of-line-blocking
+    trace), the failure-storm
     scenario fails its gate (every recovery policy drains the trace
     through a correlated fault storm, deterministically, with zero
     scheduler-invariant violations and >= 20 applied fault events), or
@@ -883,6 +884,11 @@ def bench_smoke(argv: Sequence[str] = ()) -> int:
         print(f"FLEET REGRESSION: scenario_fleet completed "
               f"{fleet['jobs_completed']}/{fleet['jobs_submitted']} "
               f"jobs (trace did not drain)", file=sys.stderr)
+        return 1
+    if fleet["steps_per_job"] > 10:
+        print(f"PERF REGRESSION: scenario_fleet took "
+              f"{fleet['steps_per_job']} engine steps per job (> 10)",
+              file=sys.stderr)
         return 1
     sweep = next(iter(results["scheduler_sweep"].values()))
     if not sweep["drained"]:

@@ -77,7 +77,13 @@ from repro.models.compute import compute_time_seconds
 from repro.models.configs import CONFIG_FAMILIES
 from repro.obs import TRACER, ObsReport, TraceRecorder
 from repro.parallel.traffic import extract_traffic
-from repro.sim.cluster import JobSpec, SharedClusterSimulator, remap_traffic
+from repro.sim.cluster import (
+    FlowIncidence,
+    JobSpec,
+    SharedClusterSimulator,
+    flow_incidence,
+    remap_traffic,
+)
 
 _TIME_EPS = 1e-9
 
@@ -122,6 +128,27 @@ class _Prepared:
     #: Lazily measured uncontended iteration wall time (the backfill
     #: disciplines' reservation currency); exact on isolated shards.
     est_iteration_s: Optional[float] = None
+    #: Built on the first :meth:`flow_template` call.
+    _flows: Optional[FlowIncidence] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def flow_template(self) -> FlowIncidence:
+        """The shard's flow incidence, built once per pipeline.
+
+        Rows follow ``fabric.capacities()`` order, which relabeling
+        keeps.  Shards are contiguous ascending blocks, so relabeling
+        also keeps the flow order: every shard this pipeline runs on
+        shares these arrays.
+        """
+        if self._flows is None:
+            link_index = {
+                link: row for row, link in enumerate(self.fabric.capacities())
+            }
+            self._flows = flow_incidence(
+                self.fabric, self.traffic, link_index
+            )
+        return self._flows
 
 
 @dataclass
@@ -743,8 +770,10 @@ class ScenarioEngine:
             )
             prepared = self._prepare(seg_plan)
             traffic = remap_traffic(prepared.traffic, list(servers))
+            flows = None
             if self.shardable:
                 fabric = prepared.fabric.relabel(list(servers))
+                flows = prepared.flow_template()
                 substrate = SharedClusterSimulator(
                     fabric.capacities(),
                     seed=0,
@@ -760,6 +789,7 @@ class ScenarioEngine:
                 traffic=traffic,
                 compute_s=prepared.compute_s,
                 fabric=fabric,
+                flows=flows,
             )
             start = (
                 now
@@ -872,6 +902,7 @@ class ScenarioEngine:
                     traffic=traffic,
                     compute_s=prepared.compute_s,
                     fabric=fabric,
+                    flows=prepared.flow_template(),
                 )
                 state = substrate.resume_job(job, start=start)
             else:
@@ -1123,6 +1154,7 @@ class ScenarioEngine:
                     traffic=traffic,
                     compute_s=prepared.compute_s,
                     fabric=fabric,
+                    flows=prepared.flow_template(),
                 ),
                 start=start,
             )

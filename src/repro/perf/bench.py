@@ -509,11 +509,14 @@ def bench_scenario_fleet(n: int = 1000) -> Dict:
     engine stepped every iteration of every job individually, which at
     this scale is billions of events; the entry records absolute wall
     time and the simulated-to-wall ratio instead of a speedup.
+    ``steps_per_job`` counts the engine's ``engine.step`` spans per job
+    in an untimed traced rerun.
     """
     from repro.cluster import ArrivalSpec, JobTemplateSpec, ScenarioSpec
     from repro.cluster.engine import run_scenario
     from repro.cluster.spec import SchedulerSpec
     from repro.api.spec import ClusterSpec, FabricSpec
+    from repro.obs import TraceRecorder
 
     spec = ScenarioSpec(
         name=f"bench-fleet-n{n}",
@@ -536,6 +539,10 @@ def bench_scenario_fleet(n: int = 1000) -> Dict:
     start = time.perf_counter()
     result = run_scenario(spec)
     wall_s = time.perf_counter() - start
+    recorder = TraceRecorder()
+    run_scenario(spec, recorder=recorder)
+    recorder.flush()
+    steps = recorder.span_summary()["engine.step"]["count"]
     makespan_days = result.makespan_s / 86400.0
     return {
         "wall_s": round(wall_s, 3),
@@ -547,6 +554,7 @@ def bench_scenario_fleet(n: int = 1000) -> Dict:
             makespan_days / max(wall_s, 1e-12), 2
         ),
         "mean_utilization": round(result.mean_utilization(), 4),
+        "steps_per_job": round(steps / n, 2),
     }
 
 

@@ -37,6 +37,7 @@ property the scenario engine's same-spec-same-seed JSON gate relies on.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -49,7 +50,6 @@ from repro.perf.fairshare import (
     IncrementalFairShare,
     progressive_filling_rates,
 )
-from repro.sim.flows import Flow
 from repro.sim.fluid import FluidNetwork, ReferenceFluidNetwork
 from repro.sim.network_sim import _allreduce_flows, _mp_flows
 
@@ -88,13 +88,17 @@ class JobSpec:
 
     ``fabric`` must speak global server ids (a per-shard TopoOpt fabric
     or the shared switch fabric); ``traffic`` must already be expressed
-    in global ids as well (use :func:`remap_traffic`).
+    in global ids as well (use :func:`remap_traffic`).  ``flows`` is an
+    optional prebuilt :func:`flow_incidence` of (fabric, traffic) with
+    rows in the substrate's link order; ``None`` builds it from
+    ``fabric`` at the first communication phase.
     """
 
     name: str
     traffic: TrafficSummary
     compute_s: float
     fabric: object
+    flows: Optional["FlowIncidence"] = None
 
 
 @dataclass
@@ -155,6 +159,38 @@ def remap_traffic(
     return TrafficSummary(n=n_global, allreduce_groups=groups, mp_matrix=mp)
 
 
+FlowIncidence = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def flow_incidence(
+    fabric, traffic: TrafficSummary, link_index: Dict[Link, int]
+) -> FlowIncidence:
+    """One job's MP + AllReduce flows as incidence arrays.
+
+    Returns ``(rows, nnz, sizes)``: the ``link_index`` rows of every
+    flow's links, flow after flow (a link repeated within one flow
+    counts once -- the set semantics of the reference allocator), the
+    number of links on each flow, and the flow sizes in bits.
+    """
+    flows = _mp_flows(fabric, traffic)
+    flows.extend(_allreduce_flows(fabric, traffic))
+    rows: List[int] = []
+    nnz = np.empty(len(flows), dtype=np.int64)
+    for col, flow in enumerate(flows):
+        links = dict.fromkeys(flow.links)
+        for link in links:
+            row = link_index.get(link)
+            if row is None:
+                raise KeyError(
+                    f"flow {col} uses link {link} which does not "
+                    "exist in the network"
+                )
+            rows.append(row)
+        nnz[col] = len(links)
+    sizes = np.array([flow.size_bits for flow in flows], dtype=float)
+    return np.asarray(rows, dtype=np.int64), nnz, sizes
+
+
 class _SubstrateFlowKernel:
     """Persistent array-backed max-min allocator for one substrate.
 
@@ -192,10 +228,10 @@ class _SubstrateFlowKernel:
             capacities.values(), dtype=float, count=len(capacities)
         )
         self.num_links = len(capacities)
-        # Growing COO triplets of the persistent incidence.
-        self._coo_rows: List[int] = []
-        self._coo_cols: List[int] = []
-        self._nnz_per_col: List[int] = []
+        # The persistent incidence, column by column: every column's
+        # link rows, concatenated, and each column's row count.
+        self._rows = np.empty(0, dtype=np.int64)
+        self._nnz = np.empty(0, dtype=np.int64)
         self._col_count = 0
         # Per-column state.
         self._size = np.empty(0)
@@ -222,35 +258,25 @@ class _SubstrateFlowKernel:
 
     # -- registration --------------------------------------------------
     def register(
-        self, link_lists: Sequence[Sequence[Link]], sizes: Sequence[float]
+        self, rows: np.ndarray, nnz: np.ndarray, sizes: np.ndarray
     ) -> np.ndarray:
-        """Add one job's flows as inactive columns; return their ids."""
+        """Add one job's :func:`flow_incidence` as inactive columns.
+
+        ``rows`` must index this substrate's link order.  Returns the
+        new column ids.
+        """
         start = self._col_count
-        for offset, links in enumerate(link_lists):
-            col = start + offset
-            nnz = 0
-            # Duplicate links within one flow count once (the set
-            # semantics of the reference allocator).
-            for link in dict.fromkeys(links):
-                row = self._link_index.get(link)
-                if row is None:
-                    raise KeyError(
-                        f"flow {col} uses link {link} which does not "
-                        "exist in the network"
-                    )
-                self._coo_rows.append(row)
-                self._coo_cols.append(col)
-                nnz += 1
-            self._nnz_per_col.append(nnz)
-            self._live_nnz += nnz
-        count = len(link_lists)
+        count = len(nnz)
         self._col_count += count
-        size = np.asarray(sizes, dtype=float)
-        self._size = np.concatenate([self._size, size])
+        cols = np.arange(start, self._col_count, dtype=np.int64)
+        self._rows = np.concatenate([self._rows, rows])
+        self._nnz = np.concatenate([self._nnz, nnz])
+        self._live_nnz += int(nnz.sum())
+        self._size = np.concatenate([self._size, sizes])
         self._eps = np.concatenate(
-            [self._eps, _EPS * np.maximum(1.0, size)]
+            [self._eps, _EPS * np.maximum(1.0, sizes)]
         )
-        self.remaining = np.concatenate([self.remaining, size.copy()])
+        self.remaining = np.concatenate([self.remaining, sizes])
         self._rates = np.concatenate([self._rates, np.zeros(count)])
         self._active = np.concatenate(
             [self._active, np.zeros(count, dtype=bool)]
@@ -259,7 +285,7 @@ class _SubstrateFlowKernel:
             [self._dead, np.zeros(count, dtype=bool)]
         )
         self._stale_structure = True
-        return np.arange(start, self._col_count, dtype=np.int64)
+        return cols
 
     def release(self, cols: np.ndarray) -> None:
         """Mark a departed job's columns dead (deactivating live ones)."""
@@ -267,10 +293,9 @@ class _SubstrateFlowKernel:
         if live.size:
             self.deactivate(live)
         self._dead[cols] = True
-        for col in cols:
-            moved = self._nnz_per_col[col]
-            self._dead_nnz += moved
-            self._live_nnz -= moved
+        moved = int(self._nnz[cols].sum())
+        self._dead_nnz += moved
+        self._live_nnz -= moved
 
     @property
     def wants_compaction(self) -> bool:
@@ -281,16 +306,8 @@ class _SubstrateFlowKernel:
         keep = ~self._dead
         mapping = np.full(self._col_count, -1, dtype=np.int64)
         mapping[keep] = np.arange(int(keep.sum()), dtype=np.int64)
-        cols = np.asarray(self._coo_cols, dtype=np.int64)
-        rows = np.asarray(self._coo_rows, dtype=np.int64)
-        kept_entries = keep[cols]
-        self._coo_rows = rows[kept_entries].tolist()
-        self._coo_cols = mapping[cols[kept_entries]].tolist()
-        self._nnz_per_col = [
-            nnz
-            for nnz, alive in zip(self._nnz_per_col, keep)
-            if alive
-        ]
+        self._rows = self._rows[np.repeat(keep, self._nnz)]
+        self._nnz = self._nnz[keep]
         self._size = self._size[keep]
         self._eps = self._eps[keep]
         self.remaining = self.remaining[keep]
@@ -322,18 +339,15 @@ class _SubstrateFlowKernel:
     def _rebuild_structure(self) -> None:
         from scipy import sparse
 
-        nnz = len(self._coo_rows)
-        self._incidence = sparse.csr_matrix(
-            (
-                np.ones(nnz),
-                (
-                    np.asarray(self._coo_rows, dtype=np.int64),
-                    np.asarray(self._coo_cols, dtype=np.int64),
-                ),
-            ),
+        indptr = np.zeros(self._col_count + 1, dtype=np.int64)
+        np.cumsum(self._nnz, out=indptr[1:])
+        by_flow = sparse.csc_matrix(
+            (np.ones(self._rows.size), self._rows, indptr),
             shape=(self.num_links, self._col_count),
         )
-        self._incidence_t = self._incidence.T.tocsr()
+        self._incidence = by_flow.tocsr()
+        # The transpose of a CSC matrix is CSR without a conversion.
+        self._incidence_t = by_flow.T
         self._stale_structure = False
         if self.mode == "incremental" and self._col_count:
             self._solver = IncrementalFairShare(
@@ -471,21 +485,27 @@ class _SubstrateFlowKernel:
         best = float((self.remaining[act[moving]] / rates[moving]).min())
         return max(best, 0.0)
 
-    def advance(self, dt: float) -> np.ndarray:
+    def advance(self, dt: float, slack: float = 0.0) -> np.ndarray:
         """Progress active flows by ``dt``; return completed column ids.
 
         Uses the rates currently in force (matching the lazy-recompute
         semantics of :class:`FluidNetwork`: callers query
         :meth:`time_to_next_completion` between events, which refreshes
-        them).
+        them).  A flow also completes when at most ``slack`` more
+        seconds at its rate would finish it (the same rule as
+        :meth:`FluidNetwork.advance`).
         """
         if dt < 0:
             raise ValueError(f"cannot advance time backwards (dt={dt})")
         act = np.flatnonzero(self._active)
         if act.size == 0:
             return np.empty(0, dtype=np.int64)
-        self.remaining[act] -= self._rates[act] * dt
-        done_mask = self.remaining[act] <= self._eps[act]
+        rates = self._rates[act]
+        self.remaining[act] -= rates * dt
+        tolerance = self._eps[act]
+        if slack > 0:
+            tolerance = tolerance + rates * slack
+        done_mask = self.remaining[act] <= tolerance
         done = act[done_mask]
         if done.size:
             self.remaining[done] = 0.0
@@ -661,13 +681,16 @@ class SharedClusterSimulator:
         The kernel backend builds each job's flow set once and reuses
         it every phase; failure injections patch routing in place, so
         the engine calls this to force a rebuild at the next phase.
-        No-op on the reference backend, which rebuilds per phase.
+        A prebuilt ``spec.flows`` describes the old routing, so it is
+        dropped too.  No-op on the reference backend, which rebuilds per
+        phase.
 
         A job caught mid-communication keeps its in-flight flows on the
         old paths until the phase completes -- exactly the reference
         semantics, where flows already in the network are untouched by
         a routing patch -- and rebuilds at the next phase start.
         """
+        state.spec.flows = None
         if self._kernel is None or state.flow_cols is None:
             return
         if state.phase == "comm" and state.outstanding > 0:
@@ -708,12 +731,20 @@ class SharedClusterSimulator:
         """
         self._finished_buffer = []
         dt = max(target - self.now, 0.0) + 1e-12
+        # A flow due less than half a clock ulp after ``target`` cannot
+        # finish at a later representable time, so it finishes now.  At
+        # a large clock ``now + gap`` rounds to that ulp, and such a
+        # remainder used to cost one step per ``rate * 1e-12`` bits,
+        # none of which moved the clock.  The 1e-12 already in ``dt``
+        # covers the half ulp of a clock below ~8e3 s, so small clocks
+        # get no slack.
+        slack = 0.5 * math.ulp(target) - 1e-12
         self.now = target
         if self._kernel is not None:
             # Keep the kernel's simulated clock current: its lazy
             # solves stamp utilization-timeline samples with it.
             self._kernel.sim_now = target
-            done_cols = self._kernel.advance(dt)
+            done_cols = self._kernel.advance(dt, slack)
             finishers: List[_JobState] = []
             for col in done_cols:
                 owner = self._flow_owner.pop(int(col), None)
@@ -729,7 +760,7 @@ class SharedClusterSimulator:
             for owner in finishers:
                 self._finish_communication(owner, self.now)
         else:
-            completed = self.network.advance(dt)
+            completed = self.network.advance(dt, slack)
             for flow in completed:
                 owner = self._flow_owner.pop(flow.flow_id, None)
                 if owner is None:
@@ -805,12 +836,12 @@ class SharedClusterSimulator:
                 # Built once per job (and after routing invalidation),
                 # not once per phase: paths and sizes are pure
                 # functions of (fabric, traffic).
-                flows = _mp_flows(spec.fabric, spec.traffic)
-                flows.extend(_allreduce_flows(spec.fabric, spec.traffic))
-                cols = self._kernel.register(
-                    [flow.links for flow in flows],
-                    [flow.size_bits for flow in flows],
-                )
+                incidence = spec.flows
+                if incidence is None:
+                    incidence = flow_incidence(
+                        spec.fabric, spec.traffic, self._kernel._link_index
+                    )
+                cols = self._kernel.register(*incidence)
                 state.flow_cols = cols
             if cols.size == 0:
                 self._finish_communication(state, now)

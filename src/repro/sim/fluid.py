@@ -104,14 +104,22 @@ class FluidNetwork:
         self._rates_dirty = False
 
     # ------------------------------------------------------------------
-    def advance(self, dt: float) -> List[Flow]:
-        """Progress all flows by ``dt`` seconds; return completed flows."""
+    def advance(self, dt: float, slack: float = 0.0) -> List[Flow]:
+        """Progress all flows by ``dt`` seconds; return completed flows.
+
+        A flow also completes when at most ``slack`` more seconds at its
+        rate would finish it: a caller's clock cannot resolve times
+        that close.
+        """
         if dt < 0:
             raise ValueError(f"cannot advance time backwards (dt={dt})")
         completed: List[Flow] = []
         for flow in self.active.values():
             flow.remaining_bits -= flow.rate_bps * dt
-            if flow.remaining_bits <= _EPS * max(1.0, flow.size_bits):
+            tolerance = _EPS * max(1.0, flow.size_bits)
+            if slack > 0:
+                tolerance += flow.rate_bps * slack
+            if flow.remaining_bits <= tolerance:
                 flow.remaining_bits = 0.0
                 completed.append(flow)
         for flow in completed:

@@ -44,38 +44,59 @@ def normalized_json(result) -> str:
     return json.dumps(data, sort_keys=True)
 
 
-def staggered_spec(seed: int, solver: str) -> ScenarioSpec:
+def staggered_spec(seed: int, solver: str, t0: float = 0.0) -> ScenarioSpec:
     return ScenarioSpec.preset("shared").with_overrides({
         "seed": seed,
         "solver": solver,
-        "arrivals.times": [0.0, 40.0, 95.0],
+        "arrivals.times": [t0, t0 + 40.0, t0 + 95.0],
         "jobs.0.iterations": 5,
         "jobs.1.iterations": 5,
         "jobs.2.iterations": 5,
+        "max_sim_time_s": t0 + 3600.0,
     })
 
 
 class TestKernelMatchesReference:
-    def test_staggered_failures_byte_identical_across_seeds(self):
+    @staticmethod
+    def assert_staggered_failures_agree(t0, seeds):
         period = run_scenario(
-            staggered_spec(0, "kernel")
+            staggered_spec(0, "kernel", t0)
         ).jobs[0].iteration_avg_s
         faults = [
-            link_fault(1.5 * period, repair_s=3.5 * period),
-            # Job 1 arrives at t=40; hit it mid-flight.
-            link_fault(40.0 + 1.5 * period, job_index=1),
+            link_fault(t0 + 1.5 * period, repair_s=t0 + 3.5 * period),
+            # Job 1 arrives at t0 + 40; hit it mid-flight.
+            link_fault(t0 + 40.0 + 1.5 * period, job_index=1),
         ]
-        for seed in (0, 1, 2):
+        for seed in seeds:
             kernel = run_scenario(
-                with_faults(staggered_spec(seed, "kernel"), *faults)
+                with_faults(staggered_spec(seed, "kernel", t0), *faults)
             )
             reference = run_scenario(
-                with_faults(staggered_spec(seed, "reference"), *faults)
+                with_faults(staggered_spec(seed, "reference", t0), *faults)
             )
             assert normalized_json(kernel) == normalized_json(reference)
             # The failures really happened (not skipped) in both runs.
             kinds = [entry["kind"] for entry in kernel.failure_log]
             assert "skipped" not in kinds and len(kinds) == 3
+
+    def test_staggered_failures_byte_identical_across_seeds(self):
+        self.assert_staggered_failures_agree(0.0, (0, 1, 2))
+
+    def test_large_clock_byte_identical(self, monkeypatch):
+        # At 3e6 s the clock's ulp is ~5e-10 s, so the completion rule
+        # for flows due within half an ulp fires; both backends must
+        # apply it identically.
+        from repro.sim import cluster, fluid
+
+        slacks = []
+        for owner in (cluster._SubstrateFlowKernel, fluid.FluidNetwork):
+            def spy(self, dt, slack=0.0, _advance=owner.advance):
+                slacks.append(slack)
+                return _advance(self, dt, slack)
+
+            monkeypatch.setattr(owner, "advance", spy)
+        self.assert_staggered_failures_agree(3e6, (0, 1))
+        assert max(slacks) > 0
 
     def test_shared_fabric_contention_byte_identical(self):
         # The fattree substrate is shared: all jobs' flows contend in
@@ -137,6 +158,79 @@ class TestKernelPortSwapRoundTrip:
         kinds = [entry["kind"] for entry in result.failure_log]
         assert kinds.count("mp_detour") + kinds.count("link_cut") >= 1
         assert result.jobs[0].iterations_completed == 5
+
+
+class TestLargeClock:
+    """Metamorphic: shifting a job's admission in time changes nothing."""
+
+    def test_time_shift_keeps_steps_and_iteration_time(self):
+        from repro.cluster.engine import ScenarioEngine
+        from repro.sim.cluster import (
+            JobSpec, SharedClusterSimulator, remap_traffic,
+        )
+
+        # A fleet template on its 16-server TopoOpt shard.
+        spec = ScenarioSpec(
+            cluster=ClusterSpec(servers=32, degree=4, bandwidth_gbps=100.0),
+            fabric=FabricSpec(kind="topoopt"),
+            arrivals=ArrivalSpec(process="explicit", times=(0.0,)),
+            jobs=(JobTemplateSpec(model="DLRM", servers=16),),
+        )
+        engine = ScenarioEngine(spec)
+        prepared = engine._prepare(engine._draw_jobs()[0])
+        block = list(range(16, 32))
+        traffic = remap_traffic(prepared.traffic, block)
+
+        def run(start):
+            fabric = prepared.fabric.relabel(block)
+            sim = SharedClusterSimulator(
+                fabric.capacities(), seed=0, stagger=False
+            )
+            state = sim.add_job(
+                JobSpec("shifted", traffic, prepared.compute_s, fabric),
+                start=start,
+            )
+            steps = []
+            while len(steps) < 3:
+                count = 1
+                while not sim.advance_to(sim.next_event_time()):
+                    count += 1
+                steps.append(count)
+            return steps, state.stats.iteration_times
+
+        early_steps, early_times = run(0.0)
+        late_steps, late_times = run(1e7)
+        for early, late in zip(early_steps, late_steps):
+            assert abs(late - early) <= 1
+        tolerance = 8 * np.spacing(1e7)
+        for early, late in zip(early_times, late_times):
+            assert abs(late - early) <= tolerance
+
+
+class TestFlowTemplates:
+    def test_link_cut_leaves_shared_template_intact(self):
+        # Two sequential jobs of one pipeline share its flow template.
+        # Job 0's cut rebuilds its flows from the patched routing; job
+        # 1, admitted after job 0 left, must not see that rebuild.
+        spec = ScenarioSpec(
+            cluster=ClusterSpec(servers=8, degree=4, bandwidth_gbps=100.0),
+            fabric=FabricSpec(kind="topoopt"),
+            arrivals=ArrivalSpec(process="explicit", times=(0.0,)),
+            jobs=(JobTemplateSpec(model="DLRM", servers=8, iterations=4),),
+        )
+        period = run_scenario(spec).jobs[0].iteration_avg_s
+        spec = spec.with_overrides({"arrivals.times": [0.0, 20.0 * period]})
+        healthy = run_scenario(spec)
+        faulted = run_scenario(with_faults(spec, link_fault(1.5 * period)))
+        kinds = [entry["kind"] for entry in faulted.failure_log]
+        assert kinds == ["mp_detour"]
+        assert max(faulted.jobs[0].iteration_times) > max(
+            healthy.jobs[0].iteration_times
+        )
+        assert (
+            faulted.jobs[1].iteration_times
+            == healthy.jobs[1].iteration_times
+        )
 
 
 class TestWallclockDurations:
