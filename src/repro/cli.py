@@ -897,7 +897,7 @@ def bench_smoke(argv: Sequence[str] = ()) -> int:
         return 1
     if not sweep["deterministic"]:
         print("DETERMINISM REGRESSION: same (spec, seed) under EASY "
-              "backfill produced different result JSON",
+              "or conservative backfill produced different result JSON",
               file=sys.stderr)
         return 1
     if not sweep["backfill_beats_fcfs"]:

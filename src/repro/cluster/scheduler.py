@@ -23,8 +23,8 @@ Four layers live here, each a knob of
   windows over an :class:`AvailabilityProfile` built from the engine's
   wall-clock duration estimates.
 * :class:`AvailabilityProfile` -- a step function of projected free
-  masks: the current free pool plus every running job's estimated
-  release, minus reservation holds.
+  server bitsets: the current free pool plus every running job's
+  estimated release, minus reservation holds.
 * :class:`ShardManager` -- look-ahead topology provisioning
   (``provisioning="lookahead"``): a job's optical reconfiguration
   starts once it reaches the queue head, so time spent waiting there is
@@ -66,18 +66,56 @@ Hole = Tuple[int, int]  # (start, length)
 _EPS = 1e-9
 
 
-def _mask_holes(mask: np.ndarray) -> List[Hole]:
-    """Maximal ``True`` runs of a boolean mask as ``(start, length)``."""
-    padded = np.empty(len(mask) + 1, dtype=np.int8)
-    padded[: len(mask)] = mask
-    padded[len(mask)] = 0
-    edges = np.diff(padded, prepend=np.int8(0))
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    return [
-        (int(start), int(end - start))
-        for start, end in zip(starts, ends)
-    ]
+def _span(start: int, count: int) -> int:
+    """The bitset of block ``[start, start + count)``."""
+    return ((1 << count) - 1) << start
+
+
+def _server_bits(servers: Sequence[int]) -> int:
+    """The bitset of an arbitrary server collection."""
+    bits = 0
+    for server in servers:
+        bits |= 1 << int(server)
+    return bits
+
+
+def _bitset(mask: np.ndarray) -> int:
+    """A boolean mask as an int bitset (bit ``i`` set = ``mask[i]``)."""
+    packed = np.packbits(np.asarray(mask, dtype=bool), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def _runs(bits: int) -> List[Hole]:
+    """Maximal runs of set bits as ``(start, length)``, in address order."""
+    holes = []
+    pos = 0
+    while bits:
+        skip = (bits & -bits).bit_length() - 1
+        bits >>= skip
+        # bits ^ (bits + 1) sets the trailing ones and the bit above.
+        length = (bits ^ (bits + 1)).bit_length() - 1
+        holes.append((pos + skip, length))
+        bits >>= length
+        pos += skip + length
+    return holes
+
+
+def _fit_starts(bits: int, count: int) -> int:
+    """Bits ``i`` such that ``[i, i + count)`` is entirely set.
+
+    Shift-AND erosion: after each step bit ``i`` certifies a run of
+    ``covered`` set bits from ``i``; ANDing with the set shifted by
+    ``s <= covered`` extends that to ``covered + s``, so
+    ``ceil(log2(count))`` steps suffice.  The lowest surviving bit is
+    the start of the first hole that fits (its left neighbour cannot be
+    set, or it would survive too).
+    """
+    covered = 1
+    while covered < count and bits:
+        shift = min(covered, count - covered)
+        bits &= bits >> shift
+        covered += shift
+    return bits
 
 
 class ShardAllocator:
@@ -87,8 +125,8 @@ class ShardAllocator:
     remembered as a block; :meth:`free` only accepts exactly such a
     block, so a caller can neither free servers it never held nor
     splinter someone else's shard.  Frees coalesce with adjacent holes
-    automatically (free servers are a set, and holes are recomputed as
-    maximal runs).
+    automatically (the free pool is an int bitset, bit ``i`` set =
+    server ``i`` free, and holes are recomputed as its maximal runs).
     """
 
     def __init__(self, num_servers: int, policy: str, rng: random.Random):
@@ -102,23 +140,19 @@ class ShardAllocator:
         self.num_servers = num_servers
         self.policy = policy
         self.rng = rng
-        self._free = set(range(num_servers))
-        # Mirror of _free as a 0/1 mask, padded with a trailing 0 so
-        # run ends always show up in the diff below.
-        self._mask = np.ones(num_servers + 1, dtype=np.int8)
-        self._mask[num_servers] = 0
+        self._free_bits = _span(0, num_servers)
         #: start id -> the exact server tuple carved there.
         self._blocks: Dict[int, Tuple[int, ...]] = {}
         #: servers taken out of service by a host failure.  Failed
         #: servers are neither free nor busy: they punch holes in the
-        #: mask (so no block is carved across them) without counting
-        #: toward utilization.
+        #: free pool (so no block is carved across them) without
+        #: counting toward utilization.
         self._failed: Set[int] = set()
 
     # ------------------------------------------------------------------
     @property
     def free_count(self) -> int:
-        return len(self._free)
+        return self._free_bits.bit_count()
 
     @property
     def failed_count(self) -> int:
@@ -126,27 +160,31 @@ class ShardAllocator:
 
     @property
     def busy_count(self) -> int:
-        return self.num_servers - len(self._free) - len(self._failed)
+        return self.num_servers - self.free_count - len(self._failed)
+
+    @property
+    def free_bits(self) -> int:
+        """The free pool as an int bitset (bit ``i`` set = server free)."""
+        return self._free_bits
 
     def free_mask(self) -> np.ndarray:
         """The free pool as a boolean mask (a copy; True = free)."""
-        return self._mask[: self.num_servers].astype(bool)
+        packed = np.frombuffer(
+            self._free_bits.to_bytes((self.num_servers + 7) // 8, "little"),
+            dtype=np.uint8,
+        )
+        return np.unpackbits(
+            packed, count=self.num_servers, bitorder="little"
+        ).astype(bool)
 
     def holes(self) -> List[Hole]:
         """Maximal free runs as ``(start, length)``, in address order.
 
-        Computed as run boundaries of the free mask (one ``np.diff``)
-        rather than a per-server Python scan: fragmentation is sampled
-        at every admission and departure, so this is on the scenario
-        engine's per-event path.
+        One step per run of the free bitset, not per server:
+        fragmentation is sampled at every admission and departure, so
+        this is on the scenario engine's per-event path.
         """
-        edges = np.diff(self._mask, prepend=np.int8(0))
-        starts = np.flatnonzero(edges == 1)
-        ends = np.flatnonzero(edges == -1)
-        return [
-            (int(start), int(end - start))
-            for start, end in zip(starts, ends)
-        ]
+        return _runs(self._free_bits)
 
     def largest_hole(self) -> int:
         """Length of the largest free run (0 when nothing is free)."""
@@ -167,6 +205,12 @@ class ShardAllocator:
 
     def utilization(self) -> float:
         return self.busy_count / self.num_servers
+
+    def _is_free(self, server: int) -> bool:
+        """Whether in-range id ``server`` is in the free pool (a
+        non-integral id never is)."""
+        index = int(server)
+        return index == server and bool((self._free_bits >> index) & 1)
 
     # ------------------------------------------------------------------
     def allocate(self, count: int) -> Optional[Tuple[int, ...]]:
@@ -199,7 +243,8 @@ class ShardAllocator:
                 f"block [{start}, {start + count}) is outside this "
                 f"cluster's servers 0..{self.num_servers - 1}"
             )
-        if not self._mask[start:start + count].all():
+        block = _span(start, count)
+        if self._free_bits & block != block:
             raise ValueError(
                 f"block [{start}, {start + count}) is not entirely free"
             )
@@ -207,8 +252,7 @@ class ShardAllocator:
 
     def _carve(self, start: int, count: int) -> Tuple[int, ...]:
         servers = tuple(range(start, start + count))
-        self._free -= set(servers)
-        self._mask[start:start + count] = 0
+        self._free_bits &= ~_span(start, count)
         self._blocks[start] = servers
         return servers
 
@@ -229,7 +273,7 @@ class ShardAllocator:
                     f"server {server} is outside this cluster's servers "
                     f"0..{self.num_servers - 1}"
                 )
-            if server in self._free:
+            if self._is_free(server):
                 raise ValueError(f"server {server} is already free")
         start = min(servers)
         if self._blocks.get(start) != tuple(sorted(servers)):
@@ -237,9 +281,8 @@ class ShardAllocator:
                 f"servers {servers} were never allocated as a block; "
                 f"free() only accepts blocks handed out by allocate()"
             )
-        del self._blocks[start]
-        self._free |= set(servers)
-        self._mask[list(servers)] = 1
+        block = self._blocks.pop(start)
+        self._free_bits |= _span(block[0], len(block))
 
     # ------------------------------------------------------------------
     def fail_server(self, server: int) -> None:
@@ -248,9 +291,9 @@ class ShardAllocator:
         The engine evicts any resident job first (its whole block is
         freed through the suspend path), so by the time the allocator
         hears about the failure the server must be free.  The failed
-        server leaves both the free set and the mask: no future block
-        is carved across it, and ``busy_count`` / ``utilization`` keep
-        reporting only genuinely working servers.
+        server leaves the free pool: no future block is carved across
+        it, and ``busy_count`` / ``utilization`` keep reporting only
+        genuinely working servers.
         """
         if not 0 <= server < self.num_servers:
             raise ValueError(
@@ -259,26 +302,24 @@ class ShardAllocator:
             )
         if server in self._failed:
             raise ValueError(f"server {server} is already failed")
-        if server not in self._free:
+        if not self._is_free(server):
             raise ValueError(
                 f"server {server} is still allocated; evict its job "
                 "before failing the host"
             )
-        self._free.discard(server)
         self._failed.add(server)
-        self._mask[server] = 0
+        self._free_bits &= ~(1 << int(server))
 
     def repair_server(self, server: int) -> None:
         """Return a failed server to the free pool."""
         if server not in self._failed:
             raise ValueError(f"server {server} is not failed")
         self._failed.discard(server)
-        self._free.add(server)
-        self._mask[server] = 1
+        self._free_bits |= 1 << int(server)
 
 
 class AvailabilityProfile:
-    """A step function of projected free masks over future time.
+    """A step function of projected free server sets over future time.
 
     Built per scheduling round from the allocator's current free mask
     plus every running job's estimated block release, then refined with
@@ -286,6 +327,11 @@ class AvailabilityProfile:
     (time x block) window per queued job).  Queries ask for the
     earliest time a contiguous block of a given size is free for a
     given duration.
+
+    Each segment's free set is an int bitset (bit ``i`` set = server
+    ``i`` free): a window is the AND of its segments, and a fit test is
+    a few shift-ANDs (:func:`_fit_starts`), so the many window probes
+    of a conservative backfill pass allocate no arrays.
 
     All times are absolute simulation seconds; the profile starts at
     ``now`` and the last segment extends to infinity.
@@ -298,9 +344,7 @@ class AvailabilityProfile:
         releases: Sequence[Tuple[float, Sequence[int]]] = (),
     ):
         self._times: List[float] = [float(now)]
-        self._masks: List[np.ndarray] = [
-            np.asarray(free_mask, dtype=bool).copy()
-        ]
+        self._bits: List[int] = [_bitset(free_mask)]
         # Insertion order must not matter for the result, but sorting
         # keeps the internal segment list deterministic.
         for when, servers in sorted(
@@ -314,16 +358,17 @@ class AvailabilityProfile:
         i = bisect.bisect_right(self._times, t) - 1
         if self._times[i] != t:
             self._times.insert(i + 1, t)
-            self._masks.insert(i + 1, self._masks[i].copy())
+            self._bits.insert(i + 1, self._bits[i])
             i += 1
         return i
 
     def release(self, when: float, servers: Sequence[int]) -> None:
         """Mark ``servers`` free from ``when`` onward."""
         i = self._step_at(max(when, self._times[0]))
-        idx = list(servers)
-        for mask in self._masks[i:]:
-            mask[idx] = True
+        released = _server_bits(servers)
+        bits = self._bits
+        for k in range(i, len(bits)):
+            bits[k] |= released
 
     def add_hold(
         self, t0: float, t1: float, start: int, count: int
@@ -335,17 +380,20 @@ class AvailabilityProfile:
         self._step_at(t1)
         i0 = self._step_at(t0)
         i1 = bisect.bisect_right(self._times, t1 + _EPS) - 1
-        for mask in self._masks[i0:i1]:
-            mask[start:start + count] = False
+        keep = ~_span(start, count)
+        bits = self._bits
+        for k in range(i0, i1):
+            bits[k] &= keep
 
-    def _window_mask(self, t: float, duration: float) -> np.ndarray:
-        """Servers free throughout ``[t, t + duration)``."""
-        i = bisect.bisect_right(self._times, t + _EPS) - 1
-        combined = self._masks[i].copy()
-        end = t + duration
+    def _window_mask(self, t: float, duration: float) -> int:
+        """Servers free throughout ``[t, t + duration)``, as a bitset."""
+        times = self._times
+        i = bisect.bisect_right(times, t + _EPS) - 1
+        combined = self._bits[i]
+        end = t + duration - _EPS
         j = i + 1
-        while j < len(self._times) and self._times[j] < end - _EPS:
-            combined &= self._masks[j]
+        while j < len(times) and times[j] < end:
+            combined &= self._bits[j]
             j += 1
         return combined
 
@@ -354,7 +402,6 @@ class AvailabilityProfile:
         count: int,
         duration: float,
         policy: str = "first-fit",
-        after: Optional[float] = None,
     ) -> Optional[Tuple[float, int]]:
         """Earliest ``(time, start)`` where ``count`` servers stay free
         for ``duration`` seconds.
@@ -367,17 +414,22 @@ class AvailabilityProfile:
         Returns ``None`` only when ``count`` never fits (more servers
         than the cluster has).
         """
-        t0 = self._times[0] if after is None else max(after, self._times[0])
+        t0 = self._times[0]
         candidates = [t0] + [t for t in self._times if t > t0 + _EPS]
         for t in candidates:
-            mask = self._window_mask(t, duration)
-            holes = [h for h in _mask_holes(mask) if h[1] >= count]
-            if holes:
-                if policy == "best-fit":
-                    start, _ = min(holes, key=lambda h: (h[1], h[0]))
-                else:  # first-fit, and random resolved deterministically
-                    start, _ = holes[0]
-                return t, start
+            window = self._window_mask(t, duration)
+            fits = _fit_starts(window, count)
+            if not fits:
+                continue
+            if policy == "best-fit":
+                _, start = min(
+                    (length, start)
+                    for start, length in _runs(window)
+                    if length >= count
+                )
+            else:  # first-fit, and random resolved deterministically
+                start = (fits & -fits).bit_length() - 1
+            return t, start
         return None
 
 
@@ -542,14 +594,12 @@ class JobScheduler:
         if not pool:
             return None
         pool.sort(key=lambda r: (r.priority, -r.key))
-        scratch = self.allocator.free_mask()
+        scratch = self.allocator.free_bits
         chosen: List[RunningJob] = []
         for victim in pool:
             chosen.append(victim)
-            scratch[list(victim.servers)] = True
-            if max(
-                (length for _, length in _mask_holes(scratch)), default=0
-            ) >= target:
+            scratch |= _server_bits(victim.servers)
+            if _fit_starts(scratch, target):
                 return chosen
         return None
 
