@@ -7,7 +7,10 @@
 # trace scenario.  Exits non-zero if the docs are broken, an example
 # fails or times out, a vectorized kernel has regressed to slower than
 # the retained seed implementation, the incremental cost model drifts
-# from its full-rebuild oracle, the scenario engine loses (spec, seed)
+# from its full-rebuild oracle, a kernel's equivalence field drifts
+# (phase_sim makespan relative error >= 1e-6, staggered_phase makespan
+# or alternating cost relative error >= 1e-12, routing hop counts
+# differing from the per-pair BFS), the scenario engine loses (spec, seed)
 # determinism / reference-allocator equivalence, the scenario kernel
 # falls under its 1.5x speedup floor at n=64, the fleet scenario
 # fails to drain its trace or takes more than 10 engine steps per

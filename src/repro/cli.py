@@ -812,9 +812,12 @@ def bench_smoke(argv: Sequence[str] = ()) -> int:
     and end-to-end alternating optimization), and the multi-job
     scenario engine, and fails (exit 1) if a vectorized kernel has
     regressed to slower than the retained seed implementation at n=64,
-    the incremental MCMC costs drift from the full-rebuild oracle, the
-    scenario engine loses (spec, seed) determinism / allocator
-    equivalence, the scenario kernel falls under its 1.5x speedup
+    the incremental MCMC costs drift from the full-rebuild oracle, an
+    equivalence field drifts (``phase_sim`` makespan relative error
+    >= 1e-6, ``staggered_phase`` makespan or ``alternating`` cost
+    relative error >= 1e-12, ``routing`` hop counts differing from the
+    per-pair BFS), the scenario engine loses (spec, seed) determinism /
+    allocator equivalence, the scenario kernel falls under its 1.5x speedup
     floor at n=64, the capped fleet-scale scenario fails to drain its
     trace or takes more than 10 engine steps per job, the scheduler
     policy sweep fails its gate (every queue policy drains a 100-job
@@ -864,6 +867,23 @@ def bench_smoke(argv: Sequence[str] = ()) -> int:
     if results["mcmc_steps"][gate_key]["cost_rel_err"] >= 1e-12:
         print("EQUIVALENCE REGRESSION: incremental MCMC costs drifted "
               "from the full-rebuild oracle", file=sys.stderr)
+        return 1
+    for scenario, field_name, bound, what in (
+        ("phase_sim", "makespan_rel_err", 1e-6,
+         "array phase makespan vs the seed event loop"),
+        ("staggered_phase", "makespan_rel_err", 1e-12,
+         "incremental event-engine makespan vs the batch recompute"),
+        ("alternating", "cost_rel_err", 1e-12,
+         "incremental alternating-optimization cost vs the full rebuild"),
+    ):
+        err = results[scenario][gate_key][field_name]
+        if not err < bound:
+            print(f"EQUIVALENCE REGRESSION: {scenario} {field_name} "
+                  f"{err} >= {bound} ({what})", file=sys.stderr)
+            return 1
+    if not results["routing"][gate_key]["hop_counts_match"]:
+        print("EQUIVALENCE REGRESSION: batched ECMP routing hop counts "
+              "differ from the per-pair BFS reference", file=sys.stderr)
         return 1
     scenario = results["scenario"][gate_key]
     if not scenario["deterministic"]:

@@ -1016,18 +1016,17 @@ class ScenarioEngine:
 
             The prepared fabric is shared by every job built from the
             same template (pipeline cache), and the FailureManager
-            patches routing tables in place, so the failing job gets
-            its own topology result and fabric.
+            rebinds entries of the two routing dicts, so the failing
+            job gets its own copies of those dicts and its own fabric.
+            The topology and group plans, which it only reads, stay
+            shared.
             """
-            from repro.sim.failures import FailureManager
+            from repro.network.topoopt import TopoOptFabric
+            from repro.sim.failures import FailureManager, isolate_routing
 
             if entry.failure_manager is not None:
                 return
-            import copy as _copy
-
-            from repro.network.topoopt import TopoOptFabric
-
-            isolated = _copy.deepcopy(entry.prepared.fabric.result)
+            isolated = isolate_routing(entry.prepared.fabric.result)
             fabric = TopoOptFabric(
                 isolated, entry.prepared.fabric.link_bandwidth_bps
             )

@@ -115,6 +115,7 @@ class AlternatingOptimizer:
             IterationCostModel,
             ReferenceIterationCostModel,
         )
+        from repro.perf.costmodel import CostModelKernel
         from repro.perf.warmcache import kernel_for
 
         fabric = self._initial_fabric()
@@ -151,7 +152,13 @@ class AlternatingOptimizer:
                 with TRACER.span("pipeline.lp_assembly", cat="pipeline",
                                  round=round_index):
                     if self.incremental:
-                        kernel = kernel_for(fabric)
+                        # The round owns its kernel: a warm-cache entry
+                        # keyed by this fresh result's identity could
+                        # never hit again, and it would pin the result's
+                        # routing tables (~16k tracked lists at 64
+                        # servers) for the life of the process, for
+                        # every full garbage collection to re-walk.
+                        kernel = CostModelKernel(fabric)
                         cost_model = IterationCostModel(
                             fabric, self.search.compute_s, kernel=kernel
                         )

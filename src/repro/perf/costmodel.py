@@ -46,6 +46,8 @@ from typing import (
 import numpy as np
 from scipy import sparse
 
+from repro.perf.paths import LinkIndex, PathArrays, first_unknown
+
 if TYPE_CHECKING:  # break the repro.parallel <-> repro.perf import cycle
     from repro.parallel.traffic import LayerTraffic, TrafficSummary
 
@@ -134,17 +136,24 @@ class CostModelKernel:
             [caps[link] for link in self.links], dtype=float
         )
         self.num_links = len(self.links)
+        self._link_lookup = LinkIndex(self.links)
         self._mp_routing: Dict[int, _MPRouting] = {}
         self._ar_units: Dict[Tuple[int, ...], Optional[np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # Routing-matrix assembly
     # ------------------------------------------------------------------
-    def _link_id(self, a: int, b: int) -> int:
-        try:
-            return self.link_index[(a, b)]
-        except KeyError:
-            raise KeyError(f"routed traffic uses unknown link {(a, b)}")
+    def _link_ids(self, paths: PathArrays) -> Tuple[np.ndarray, np.ndarray]:
+        """``(path, link id)`` of every hop of ``paths``, path after path.
+
+        Raises ``KeyError`` naming the first hop off the fabric's links.
+        """
+        path, heads, tails = paths.hops()
+        ids = self._link_lookup.rows_of(heads, tails)
+        unknown = first_unknown(ids, heads, tails)
+        if unknown is not None:
+            raise KeyError(f"routed traffic uses unknown link {unknown[1]}")
+        return path, ids
 
     def mp_routing(self, n: int) -> _MPRouting:
         """The (n*n x links) MP routing-fraction matrix, built lazily.
@@ -153,27 +162,33 @@ class CostModelKernel:
         each link carries under equal splitting over the fabric's MP
         path set; pairs without any path are flagged ``unroutable``
         (demand there makes the phase time infinite, as in the seed).
+        The pair space is lowered once to :class:`PathArrays` (each
+        path weighted by its pair's ``1 / len(paths)``) and the COO
+        triplets come out of its hop table in pair, path, hop order.
         """
         routing = self._mp_routing.get(n)
         if routing is not None:
             return routing
-        rows: List[int] = []
-        cols: List[int] = []
-        data: List[float] = []
+        pairs: List[int] = []
+        path_sets: List[List[List[int]]] = []
         unroutable = np.zeros(n * n, dtype=bool)
         for src, dst, paths in _iter_pair_paths(self.fabric, "mp", n):
             pair = src * n + dst
             if not paths:
                 unroutable[pair] = True
                 continue
-            fraction = 1.0 / len(paths)
-            for path in paths:
-                for a, b in zip(path, path[1:]):
-                    rows.append(pair)
-                    cols.append(self._link_id(a, b))
-                    data.append(fraction)
+            pairs.append(pair)
+            path_sets.append(paths)
+        lowered = PathArrays.split_evenly(path_sets, np.ones(len(pairs)))
+        path_pairs = np.repeat(
+            np.asarray(pairs, dtype=np.int64),
+            np.fromiter(map(len, path_sets), dtype=np.int64,
+                        count=len(path_sets)),
+        )
+        path, cols = self._link_ids(lowered)
         matrix = sparse.csr_matrix(
-            (data, (rows, cols)), shape=(n * n, self.num_links)
+            (lowered.sizes[path], (path_pairs[path], cols)),
+            shape=(n * n, self.num_links),
         )
         routing = _MPRouting(matrix=matrix, unroutable=unroutable)
         self._mp_routing[n] = routing
@@ -203,29 +218,42 @@ class CostModelKernel:
         from repro.parallel.collectives import allreduce_edge_bytes
 
         k = len(members)
-        loads = np.zeros(self.num_links)
         if k < 2:
-            return loads
+            return np.zeros(self.num_links)
         ring_paths = []
         if hasattr(self.fabric, "ring_edge_paths"):
             ring_paths = self.fabric.ring_edge_paths(members)
         if ring_paths:
-            for path, num_rings in ring_paths:
-                per_edge = allreduce_edge_bytes(1.0, k, num_rings)
-                for a, b in zip(path, path[1:]):
-                    loads[self._link_id(a, b)] += per_edge
-            return loads
+            return self._hop_loads(
+                PathArrays.from_paths(
+                    [path for path, _ in ring_paths],
+                    (
+                        allreduce_edge_bytes(1.0, k, num_rings)
+                        for _, num_rings in ring_paths
+                    ),
+                )
+            )
         per_edge = allreduce_edge_bytes(1.0, k)
+        path_sets = []
         for i in range(k):
             src, dst = members[i], members[(i + 1) % k]
             paths = self.fabric.paths(src, dst, "allreduce")
             if not paths:
-                return None
-            share = per_edge / len(paths)
-            for path in paths:
-                for a, b in zip(path, path[1:]):
-                    loads[self._link_id(a, b)] += share
-        return loads
+                break
+            path_sets.append(paths)
+        # Hops before a pathless neighbor pair still raise for unknown
+        # links, as the per-hop loop did.
+        loads = self._hop_loads(
+            PathArrays.split_evenly(path_sets, [per_edge] * len(path_sets))
+        )
+        return loads if len(path_sets) == k else None
+
+    def _hop_loads(self, paths: PathArrays) -> np.ndarray:
+        """Per-link sum of ``paths.sizes`` over every hop, in hop order."""
+        path, ids = self._link_ids(paths)
+        return np.bincount(
+            ids, weights=paths.sizes[path], minlength=self.num_links
+        )
 
     # ------------------------------------------------------------------
     # Phase times (vectorized)

@@ -16,11 +16,12 @@ all-to-all, AllReduce rings) collapse from thousands of rounds to one.
 from __future__ import annotations
 
 import heapq
-from itertools import chain
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
+
+from repro.perf.paths import PathArrays, flatten_paths, path_hops
 
 _EPS = 1e-12
 Edge = Tuple[int, int]
@@ -81,36 +82,32 @@ def build_incidence(
 
 
 def build_incidence_from_paths(
-    paths: Sequence[Sequence[int]],
+    paths,
     capacities: Dict[Edge, float],
 ) -> Tuple[sparse.csr_matrix, np.ndarray, List[Edge]]:
     """Vectorized :func:`build_incidence` for integer node paths.
 
-    Links are the consecutive node pairs of each path, encoded as
-    ``a * stride + b`` integers so the whole (flow, link) table is
-    deduplicated and indexed with :func:`np.unique` instead of per-hop
-    dict lookups -- the construction itself was the bottleneck once the
-    solve went sparse.  Semantics match ``build_incidence`` on
+    ``paths`` is a sequence of node paths or an already lowered
+    :class:`repro.perf.paths.PathArrays`.  Links are the consecutive
+    node pairs of each path (:func:`repro.perf.paths.path_hops`),
+    encoded as ``a * stride + b`` integers so the whole (flow, link)
+    table is deduplicated and indexed with :func:`np.unique` instead of
+    per-hop dict lookups -- the construction itself was the bottleneck
+    once the solve went sparse.  Semantics match ``build_incidence`` on
     ``[flow.links for flow in flows]``.
     """
-    num_flows = len(paths)
+    if isinstance(paths, PathArrays):
+        flat, lens = paths.nodes, paths.lengths
+    else:
+        flat, lens = flatten_paths(paths)
+    num_flows = len(lens)
     if num_flows == 0:
         return (
             sparse.csr_matrix((0, 0)),
             np.empty(0),
             [],
         )
-    lens = np.fromiter((len(p) for p in paths), dtype=np.int64, count=num_flows)
-    total = int(lens.sum())
-    flat = np.fromiter(chain.from_iterable(paths), dtype=np.int64, count=total)
-    # Positions of every hop head: all path positions except the last
-    # node of each path.
-    mask = np.ones(total, dtype=bool)
-    mask[np.cumsum(lens) - 1] = False
-    head_pos = np.flatnonzero(mask)
-    heads = flat[head_pos]
-    tails = flat[head_pos + 1]
-    flow_ids = np.repeat(np.arange(num_flows), lens - 1)
+    flow_ids, heads, tails = path_hops(flat, lens)
     stride = int(flat.max()) + 1
     codes = heads * stride + tails
     # Count each (flow, link) incidence once even if a path revisits a

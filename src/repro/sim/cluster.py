@@ -50,8 +50,10 @@ from repro.perf.fairshare import (
     IncrementalFairShare,
     progressive_filling_rates,
 )
+from repro.perf.paths import LinkIndex, PathArrays, first_unknown
+from repro.sim.flows import flows_from_arrays
 from repro.sim.fluid import FluidNetwork, ReferenceFluidNetwork
-from repro.sim.network_sim import _allreduce_flows, _mp_flows
+from repro.sim.network_sim import allreduce_flow_arrays, mp_flow_arrays
 
 Link = Tuple[int, int]
 
@@ -172,23 +174,34 @@ def flow_incidence(
     counts once -- the set semantics of the reference allocator), the
     number of links on each flow, and the flow sizes in bits.
     """
-    flows = _mp_flows(fabric, traffic)
-    flows.extend(_allreduce_flows(fabric, traffic))
-    rows: List[int] = []
-    nnz = np.empty(len(flows), dtype=np.int64)
-    for col, flow in enumerate(flows):
-        links = dict.fromkeys(flow.links)
-        for link in links:
-            row = link_index.get(link)
-            if row is None:
-                raise KeyError(
-                    f"flow {col} uses link {link} which does not "
-                    "exist in the network"
-                )
-            rows.append(row)
-        nnz[col] = len(links)
-    sizes = np.array([flow.size_bits for flow in flows], dtype=float)
-    return np.asarray(rows, dtype=np.int64), nnz, sizes
+    flows = _job_flow_arrays(fabric, traffic)
+    path, heads, tails = flows.hops()
+    rows = LinkIndex(list(link_index), link_index.values()).rows_of(
+        heads, tails
+    )
+    unknown = first_unknown(rows, heads, tails)
+    if unknown is not None:
+        hop, link = unknown
+        raise KeyError(
+            f"flow {int(path[hop])} uses link {link} which does not "
+            "exist in the network"
+        )
+    # First occurrence of each (flow, row), back in hop order.
+    width = int(rows.max()) + 1 if rows.size else 1
+    _, first = np.unique(path * width + rows, return_index=True)
+    keep = np.sort(first)
+    nnz = np.bincount(path[keep], minlength=len(flows)).astype(np.int64)
+    return rows[keep], nnz, flows.sizes
+
+
+def _job_flow_arrays(fabric, traffic: TrafficSummary) -> PathArrays:
+    """A job's MP flows, then its AllReduce flows, lowered once."""
+    return PathArrays.concat(
+        [
+            mp_flow_arrays(fabric, traffic),
+            allreduce_flow_arrays(fabric, traffic),
+        ]
+    )
 
 
 class _SubstrateFlowKernel:
@@ -854,8 +867,9 @@ class SharedClusterSimulator:
                 self._flow_owner[int(col)] = state
             self._kernel.activate(cols)
             return
-        flows = _mp_flows(spec.fabric, spec.traffic)
-        flows.extend(_allreduce_flows(spec.fabric, spec.traffic))
+        flows = flows_from_arrays(
+            _job_flow_arrays(spec.fabric, spec.traffic)
+        )
         if not flows:
             self._finish_communication(state, now)
             return

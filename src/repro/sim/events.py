@@ -29,6 +29,7 @@ from repro.perf.fairshare import (
     build_incidence_from_paths,
     progressive_filling_rates,
 )
+from repro.perf.paths import as_path_arrays
 
 _EPS = 1e-12
 #: Events closer in time than this are merged into one batch.
@@ -87,7 +88,7 @@ class FlowEventEngine:
     """Array-backed arrival/completion engine for one set of fluid flows.
 
     All per-flow state (remaining bits, start time, completion time,
-    rate) lives in NumPy arrays indexed by position in ``flows``; the
+    rate) lives in NumPy arrays indexed by flow position; the
     event loop never touches a per-flow Python object.  Each step
     processes one *batch* of events -- either every arrival or every
     completion landing within ``time_quantum`` of the earliest -- and
@@ -109,8 +110,10 @@ class FlowEventEngine:
     capacities:
         Link -> bits/s table covering every link of every flow path.
     flows:
-        :class:`repro.sim.flows.Flow` sequence; paths and sizes are
-        read once at construction.
+        The flow set as :class:`repro.perf.paths.PathArrays` (node
+        paths and sizes in bits).  A :class:`repro.sim.flows.Flow`
+        sequence is lowered into those arrays first; either way paths
+        and sizes are read once, at construction.
     start_times:
         Optional per-flow arrival times (seconds, >= 0); defaults to
         everything starting at t=0 (a phase).
@@ -132,21 +135,19 @@ class FlowEventEngine:
             raise ValueError(
                 f"unknown solver {solver!r} (want 'incremental' or 'batch')"
             )
-        self.flows = list(flows)
-        count = len(self.flows)
+        self.paths = as_path_arrays(flows)
+        count = len(self.paths)
         self.solver_kind = solver
         self.time_quantum = float(time_quantum)
         incidence, cap_vec, _ = build_incidence_from_paths(
-            [flow.path for flow in self.flows], capacities
+            self.paths, capacities
         )
         self._incidence = incidence
         # Built on first use by _recompute_batch; the incremental
         # solver keeps its own transpose, so batch mode alone pays it.
         self._incidence_t: Optional[sparse.csr_matrix] = None
         self._cap_vec = cap_vec
-        self.remaining = np.fromiter(
-            (flow.size_bits for flow in self.flows), dtype=float, count=count
-        )
+        self.remaining = self.paths.sizes.astype(float)
         if start_times is None:
             self.start_times = np.zeros(count)
         else:
@@ -252,8 +253,7 @@ class FlowEventEngine:
 
     def run(self) -> float:
         """Drain every event; return the time of the last one."""
-        count = len(self.flows)
-        limit = 2 * count + 4
+        limit = 2 * len(self.paths) + 4
         steps = 0
         while self.step() is not None:
             steps += 1

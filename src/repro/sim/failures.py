@@ -17,7 +17,7 @@ result and reports the repaired routing plus the performance impact
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.topology_finder import TopologyFinderResult
@@ -38,6 +38,21 @@ class RepairAction:
     kind: str  # "mp_detour" | "port_swap"
     detour_path: Optional[List[int]] = None
     extra_hops: int = 0
+
+
+def isolate_routing(result: TopologyFinderResult) -> TopologyFinderResult:
+    """A copy of ``result`` a :class:`FailureManager` may patch.
+
+    The manager only rebinds entries of the two routing dicts (spliced
+    paths are new lists), so copying those dicts isolates ``result``;
+    the topology, group plans and path lists stay shared, read-only.
+    """
+    routing = replace(
+        result.routing,
+        allreduce_paths=dict(result.routing.allreduce_paths),
+        mp_paths=dict(result.routing.mp_paths),
+    )
+    return replace(result, routing=routing)
 
 
 @dataclass

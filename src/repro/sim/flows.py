@@ -6,6 +6,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from repro.perf.paths import PathArrays
+
 Link = Tuple[int, int]
 
 _flow_ids = itertools.count()
@@ -88,40 +92,53 @@ class LinkState:
             raise ValueError("link capacity must be positive")
 
 
-def flows_from_matrix(
-    matrix, paths_fn, kind: str = "mp", tag=None
-) -> List[Flow]:
-    """Materialize flows from a traffic byte matrix.
+def demand_path_arrays(matrix, paths_fn) -> PathArrays:
+    """Lower a traffic byte matrix to flow arrays (sizes in bits).
 
     ``paths_fn(src, dst)`` returns candidate paths; bytes are split
-    evenly across them (the simulator's ECMP stand-in).
+    evenly across them (the simulator's ECMP stand-in).  Flows follow
+    the row-major order of the matrix's nonzero off-diagonal entries,
+    then each pair's path order.
     """
-    import numpy as np
-
-    flows: List[Flow] = []
     dense = np.asarray(matrix, dtype=float)
     # Row-major scan over just the nonzero entries (the Python loop
     # over all n^2 cells dominated fleet-scale scenarios, where the
     # global-id matrix is large and almost empty).
     srcs, dsts = np.nonzero(dense > 0)
-    for src, dst in zip(srcs.tolist(), dsts.tolist()):
-        if src == dst:
-            continue
-        byte_count = float(dense[src, dst])
+    off_diagonal = srcs != dsts
+    srcs, dsts = srcs[off_diagonal], dsts[off_diagonal]
+    byte_counts = dense[srcs, dsts]
+    path_sets = []
+    for src, dst, byte_count in zip(
+        srcs.tolist(), dsts.tolist(), byte_counts.tolist()
+    ):
         candidates = paths_fn(src, dst)
         if not candidates:
             raise ValueError(
                 f"no path from {src} to {dst}; cannot route "
                 f"{byte_count} bytes"
             )
-        share = byte_count / len(candidates)
-        for path in candidates:
-            flows.append(
-                Flow(
-                    path=tuple(path),
-                    size_bits=share * 8.0,
-                    kind=kind,
-                    tag=tag,
-                )
-            )
-    return flows
+        path_sets.append(candidates)
+    return PathArrays.split_evenly(
+        path_sets, byte_counts, scale=8.0
+    ).check_flows()
+
+
+def flows_from_arrays(
+    arrays: PathArrays, kind: str = "mp", tag=None
+) -> List[Flow]:
+    """One :class:`Flow` per lowered path, in order."""
+    nodes = arrays.nodes.tolist()
+    ends = np.cumsum(arrays.lengths).tolist()
+    starts = [0] + ends[:-1]
+    return [
+        Flow(path=tuple(nodes[start:end]), size_bits=size, kind=kind, tag=tag)
+        for start, end, size in zip(starts, ends, arrays.sizes.tolist())
+    ]
+
+
+def flows_from_matrix(
+    matrix, paths_fn, kind: str = "mp", tag=None
+) -> List[Flow]:
+    """Materialize :func:`demand_path_arrays` as :class:`Flow` objects."""
+    return flows_from_arrays(demand_path_arrays(matrix, paths_fn), kind, tag)

@@ -31,13 +31,14 @@ paper's no-overlap iteration-time model (Eq. 1 in section 5.4).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.perf.fairshare import build_incidence, progressive_filling_rates
+from repro.perf.paths import PathArrays, as_path_arrays
 from repro.sim.events import TIME_QUANTUM, FlowEventEngine
-from repro.sim.flows import Flow, Link, LinkState
+from repro.sim.flows import PER_HOP_LATENCY_S, Flow, Link, LinkState
 
 _EPS = 1e-12
 #: Completion times closer than this are merged into one batch.
@@ -254,7 +255,7 @@ def simulate_phase(
 
 def simulate_phase_completions(
     capacities: Dict[Link, float],
-    flows: Sequence[Flow],
+    flows: Union[Sequence[Flow], PathArrays],
     include_propagation: bool = True,
     solver: str = "incremental",
 ):
@@ -263,21 +264,25 @@ def simulate_phase_completions(
     Returns ``(makespan, completion_times)`` where ``completion_times``
     is one absolute completion time (seconds since phase start) per
     flow, in ``flows`` order -- the raw material for flow-completion-
-    time CDFs.  Used by :mod:`repro.sim.network_sim`.
+    time CDFs.  ``flows`` may also be an already lowered
+    :class:`repro.perf.paths.PathArrays` (what
+    :mod:`repro.sim.network_sim` passes); only :class:`Flow` objects
+    get their ``remaining_bits`` and ``rate_bps`` updated.
     """
-    if not flows:
+    arrays = as_path_arrays(flows)
+    if not len(arrays):
         return 0.0, np.empty(0)
-    for flow in flows:
-        flow.remaining_bits = float(flow.size_bits)
-    engine = FlowEventEngine(capacities, flows, solver=solver)
+    engine = FlowEventEngine(capacities, arrays, solver=solver)
     makespan = engine.run()
-    final_rates = engine.last_completion_rates
+    if arrays is not flows:
+        for flow, rate in zip(flows, engine.last_completion_rates.tolist()):
+            flow.remaining_bits = 0.0
+            flow.rate_bps = rate
     max_propagation = 0.0
-    for flow, rate in zip(flows, final_rates):
-        flow.remaining_bits = 0.0
-        flow.rate_bps = float(rate)
-        if include_propagation:
-            max_propagation = max(max_propagation, flow.propagation_delay_s)
+    if include_propagation:
+        # Monotone rounding: the max of hops * latency is the latency
+        # of the longest path.
+        max_propagation = arrays.max_hops() * PER_HOP_LATENCY_S
     return makespan + max_propagation, engine.completion_times
 
 
@@ -319,11 +324,10 @@ def simulate_phase_reference(
     return now + max_propagation
 
 
-def phase_link_bytes(flows: Iterable[Flow]) -> Dict[Link, float]:
+def phase_link_bytes(
+    flows: Union[Iterable[Flow], PathArrays],
+) -> Dict[Link, float]:
     """Total bytes each link carries for a flow set (Figure 15's CDF)."""
-    totals: Dict[Link, float] = {}
-    for flow in flows:
-        per_link = flow.size_bits / 8.0
-        for link in flow.links:
-            totals[link] = totals.get(link, 0.0) + per_link
-    return totals
+    if not isinstance(flows, PathArrays):
+        flows = PathArrays.from_flows(list(flows))
+    return flows.link_bytes()

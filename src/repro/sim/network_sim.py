@@ -6,10 +6,12 @@ Follows the paper's no-overlap iteration model (section 5.4, Eq. 1):
 
 with both communication phases simulated by the max-min fluid network,
 so host-based forwarding, path length, and load imbalance all show up
-as they do in the paper's packet simulations.  Each phase is driven by
-the array-backed :class:`repro.sim.events.FlowEventEngine` (and through
-it the incremental max-min solver), which also yields per-flow
-completion times for tail-latency analysis.
+as they do in the paper's packet simulations.  Each phase's demand is
+lowered straight to :class:`repro.perf.paths.PathArrays` (no per-flow
+objects) and driven by the array-backed
+:class:`repro.sim.events.FlowEventEngine` (and through it the
+incremental max-min solver), which also yields per-flow completion
+times for tail-latency analysis.
 
 Also defines :class:`TopoOptFabric`, the fabric adapter exposing a
 TopologyFinder result (topology + routing + ring plans) to the
@@ -27,7 +29,8 @@ import numpy as np
 from repro.network.topoopt import TopoOptFabric
 from repro.parallel.collectives import allreduce_edge_bytes
 from repro.parallel.traffic import TrafficSummary
-from repro.sim.flows import Flow, flows_from_matrix
+from repro.perf.paths import PathArrays
+from repro.sim.flows import demand_path_arrays
 from repro.sim.fluid import phase_link_bytes, simulate_phase_completions
 
 Link = Tuple[int, int]
@@ -73,9 +76,15 @@ class IterationBreakdown:
         return self.network_s / total if total > 0 else 0.0
 
 
-def _allreduce_flows(fabric, traffic: TrafficSummary) -> List[Flow]:
-    """Ring-AllReduce flows for every group, honouring the fabric's rings."""
-    flows: List[Flow] = []
+def allreduce_flow_arrays(fabric, traffic: TrafficSummary) -> PathArrays:
+    """Ring-AllReduce flows for every group, honouring the fabric's rings.
+
+    Dedicated ring edges when the fabric advertises them, otherwise a
+    canonical ring whose neighbor transfers are split evenly over the
+    fabric's AllReduce paths.  Sizes are in bits.
+    """
+    path_sets: List[Sequence[Sequence[int]]] = []
+    totals: List[float] = []
     for group in traffic.allreduce_groups:
         if group.size < 2 or group.total_bytes <= 0:
             continue
@@ -84,50 +93,36 @@ def _allreduce_flows(fabric, traffic: TrafficSummary) -> List[Flow]:
             ring_paths = fabric.ring_edge_paths(group.members)
         if ring_paths:
             for edge_path, num_rings in ring_paths:
-                per_edge = allreduce_edge_bytes(
-                    group.total_bytes, group.size, num_rings
-                )
-                flows.append(
-                    Flow(
-                        path=tuple(edge_path),
-                        size_bits=per_edge * 8.0,
-                        kind="allreduce",
-                        tag=group.members,
+                path_sets.append([edge_path])
+                totals.append(
+                    allreduce_edge_bytes(
+                        group.total_bytes, group.size, num_rings
                     )
                 )
-        else:
-            # Canonical single ring over the fabric's routed paths.
-            per_edge = allreduce_edge_bytes(group.total_bytes, group.size, 1)
-            members = group.members
-            k = len(members)
-            for i in range(k):
-                src, dst = members[i], members[(i + 1) % k]
-                paths = fabric.paths(src, dst, "allreduce")
-                if not paths:
-                    raise ValueError(
-                        f"fabric {fabric.name} cannot route ring edge "
-                        f"{src}->{dst}"
-                    )
-                share = per_edge / len(paths)
-                for path in paths:
-                    flows.append(
-                        Flow(
-                            path=tuple(path),
-                            size_bits=share * 8.0,
-                            kind="allreduce",
-                            tag=group.members,
-                        )
-                    )
-    return flows
+            continue
+        # Canonical single ring over the fabric's routed paths.
+        per_edge = allreduce_edge_bytes(group.total_bytes, group.size, 1)
+        members = group.members
+        k = len(members)
+        for i in range(k):
+            src, dst = members[i], members[(i + 1) % k]
+            paths = fabric.paths(src, dst, "allreduce")
+            if not paths:
+                raise ValueError(
+                    f"fabric {fabric.name} cannot route ring edge "
+                    f"{src}->{dst}"
+                )
+            path_sets.append(paths)
+            totals.append(per_edge)
+    return PathArrays.split_evenly(path_sets, totals, scale=8.0).check_flows()
 
 
-def _mp_flows(fabric, traffic: TrafficSummary) -> List[Flow]:
+def mp_flow_arrays(fabric, traffic: TrafficSummary) -> PathArrays:
+    """MP flows of the demand matrix over the fabric's MP paths (bits)."""
     if traffic.mp_matrix.sum() <= 0:
-        return []
-    return flows_from_matrix(
-        traffic.mp_matrix,
-        lambda src, dst: fabric.paths(src, dst, "mp"),
-        kind="mp",
+        return PathArrays.empty()
+    return demand_path_arrays(
+        traffic.mp_matrix, lambda src, dst: fabric.paths(src, dst, "mp")
     )
 
 
@@ -145,11 +140,13 @@ def simulate_iteration(
     :class:`repro.sim.events.FlowEventEngine`).
     """
     capacities = fabric.capacities()
-    mp_flows = _mp_flows(fabric, traffic)
-    allreduce_flows = _allreduce_flows(fabric, traffic)
+    mp_flows = mp_flow_arrays(fabric, traffic)
+    allreduce_flows = allreduce_flow_arrays(fabric, traffic)
     link_bytes: Dict[Link, float] = {}
     if collect_link_bytes:
-        link_bytes = phase_link_bytes(mp_flows + allreduce_flows)
+        link_bytes = phase_link_bytes(
+            PathArrays.concat([mp_flows, allreduce_flows])
+        )
     mp_s, mp_completions = simulate_phase_completions(
         capacities, mp_flows, solver=solver
     )
